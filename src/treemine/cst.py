@@ -11,6 +11,11 @@ from typing import Iterator
 
 
 class CstKind(Enum):
+    # Members are singletons compared by identity; hashing by identity too
+    # keeps the kind-set lookups in every tree walk out of Enum.__hash__,
+    # which is written in Python. No output depends on a set's order.
+    __hash__ = object.__hash__
+
     FILE = "FILE"
     CLASS_DECL = "CLASS_DECL"
     MODIFIER_LIST = "MODIFIER_LIST"

@@ -2,9 +2,12 @@
 
 Builds lossless concrete syntax trees: every token, including whitespace and
 comments, becomes a leaf of the tree, attached to the node that consumed the
-following significant token. Parsing is single-pass with one-token lookahead
-plus a bounded scan to tell constructors from methods and declarations from
-expression statements.
+following significant token. Parsing is single-pass. The parser keeps an
+index of the significant (non-trivia) tokens, so a lookahead of k tokens is
+one list lookup; it looks one token ahead, plus a bounded scan to tell
+constructors from methods and declarations from expression statements.
+Binary operators are parsed by precedence climbing. Token columns, needed
+only for error messages, are worked out when an error is raised.
 """
 
 from typing import Callable
@@ -15,15 +18,16 @@ from .lexer import MODIFIER_KEYWORDS, PRIMITIVE_TYPE_KEYWORDS, tokenize
 
 _TYPE_START_KEYWORDS = PRIMITIVE_TYPE_KEYWORDS | {"void"}
 
-# Binary operator precedence, loosest binding first.
-_BINARY_LEVELS = (
-    ("||",),
-    ("&&",),
-    ("==", "!="),
-    ("<", "<=", ">", ">="),
-    ("+", "-"),
-    ("*", "/", "%"),
-)
+# Binary operator precedence; a larger number binds tighter. All binary
+# operators are left-associative.
+_BINARY_PRECEDENCE = {
+    "||": 0,
+    "&&": 1,
+    "==": 2, "!=": 2,
+    "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
 
 
 def parse_file(source: str, path: str = "<memory>") -> CstNode:
@@ -39,8 +43,14 @@ class _Parser:
     def __init__(self, tokens: list[CstNode], path: str):
         self.tokens = tokens
         self.path = path
-        self.pos = 0
-        self._columns = self._compute_columns(tokens)
+        self.pos = 0  # next unconsumed token, trivia included
+        # Significant tokens and their indices in `tokens`; `_sig_pos`
+        # indexes both and always points at the next significant token.
+        self._sig_index = [i for i, tok in enumerate(tokens)
+                           if tok.kind not in TRIVIA_KINDS]
+        self._sig = [tokens[i] for i in self._sig_index]
+        self._sig_index.append(len(tokens))
+        self._sig_pos = 0
         if tokens:
             last = tokens[-1]
             self._end_byte = last.span.byte_offset_end
@@ -49,33 +59,12 @@ class _Parser:
             self._end_byte = 0
             self._end_line = 1
 
-    @staticmethod
-    def _compute_columns(tokens: list[CstNode]) -> list[int]:
-        # 1-based start column of each token, for error messages only.
-        columns = []
-        col = 1
-        for tok in tokens:
-            columns.append(col)
-            text = tok.text or ""
-            if "\n" in text:
-                col = len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-        return columns
-
     # -- token stream helpers -------------------------------------------------
 
     def _peek(self, offset: int = 0) -> CstNode | None:
         """The (offset+1)-th significant token ahead, skipping trivia."""
-        seen = 0
-        for i in range(self.pos, len(self.tokens)):
-            tok = self.tokens[i]
-            if tok.kind in TRIVIA_KINDS:
-                continue
-            if seen == offset:
-                return tok
-            seen += 1
-        return None
+        i = self._sig_pos + offset
+        return self._sig[i] if i < len(self._sig) else None
 
     def _peek_text(self, offset: int = 0) -> str | None:
         tok = self._peek(offset)
@@ -85,9 +74,10 @@ class _Parser:
         return self._peek_text() == text
 
     def _flush_trivia(self, children: list[CstNode]) -> None:
-        while self.pos < len(self.tokens) and self.tokens[self.pos].kind in TRIVIA_KINDS:
-            children.append(self.tokens[self.pos])
-            self.pos += 1
+        end = self._sig_index[self._sig_pos]
+        if end > self.pos:
+            children.extend(self.tokens[self.pos:end])
+            self.pos = end
 
     def _advance(self, children: list[CstNode]) -> CstNode:
         self._flush_trivia(children)
@@ -95,6 +85,7 @@ class _Parser:
             self._fail("more input")
         tok = self.tokens[self.pos]
         self.pos += 1
+        self._sig_pos += 1
         children.append(tok)
         return tok
 
@@ -113,9 +104,20 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             raise ParseError(self._end_line, 1, expected, "end of file")
-        index = self.tokens.index(tok, self.pos)
-        raise ParseError(tok.span.line_start, self._columns[index],
+        raise ParseError(tok.span.line_start,
+                         self._column(self._sig_index[self._sig_pos]),
                          expected, repr(tok.text))
+
+    def _column(self, index: int) -> int:
+        """1-based character column where token `index` starts."""
+        width = 0
+        for tok in reversed(self.tokens[:index]):
+            text = tok.text or ""
+            newline = text.rfind("\n")
+            if newline != -1:
+                return width + len(text) - newline
+            width += len(text)
+        return width + 1
 
     def _sub(self, children: list[CstNode], parse: Callable[[], CstNode]) -> CstNode:
         """Parse a child node, attaching its leading trivia to `children`."""
@@ -433,29 +435,29 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def _expression(self) -> CstNode:
-        return self._assignment()
-
-    def _assignment(self) -> CstNode:
         left = self._binary(0)
         if self._at("="):
             children = [left]
             self._expect(children, "'='", kind=CstKind.OPERATOR, text="=")
-            self._sub(children, self._assignment)
+            self._sub(children, self._expression)
             return self._node(CstKind.ASSIGNMENT_EXPR, children)
         return left
 
-    def _binary(self, level: int) -> CstNode:
-        if level == len(_BINARY_LEVELS):
-            return self._unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._binary(level + 1)
+    def _binary(self, min_precedence: int) -> CstNode:
+        """An operand and the binary operators that follow it and bind at
+        least as tight as `min_precedence`, grouped to the left."""
+        left = self._unary()
         while True:
             tok = self._peek()
-            if tok is None or tok.kind is not CstKind.OPERATOR or tok.text not in ops:
+            if tok is None or tok.kind is not CstKind.OPERATOR:
+                return left
+            precedence = _BINARY_PRECEDENCE.get(tok.text)
+            if precedence is None or precedence < min_precedence:
                 return left
             children = [left]
             self._advance(children)
-            self._sub(children, lambda: self._binary(level + 1))
+            self._flush_trivia(children)
+            children.append(self._binary(precedence + 1))
             left = self._node(CstKind.BINARY_EXPR, children)
 
     def _unary(self) -> CstNode:
@@ -499,6 +501,7 @@ class _Parser:
             leaf = self.tokens[self.pos]
             assert leaf.kind is CstKind.LITERAL
             self.pos += 1
+            self._sig_pos += 1
             return leaf
         if tok.kind is CstKind.IDENTIFIER:
             children = []

@@ -112,20 +112,25 @@ def _sanitize_path_label(text: str) -> str:
 # -- JSONL tree format --------------------------------------------------------
 
 def format_jsonl_tree(sample: LabeledTree) -> str:
-    nodes: list[AstNode] = list(sample.tree.preorder())
-    ids = {id(node): i for i, node in enumerate(nodes)}
-    objects = []
-    for i, node in enumerate(nodes):
+    objects: list[dict] = []
+    # (node, the id list of its parent's children); children are pushed in
+    # reverse so that they are numbered, and listed, in preorder
+    stack: list[tuple[AstNode, list[int] | None]] = [(sample.tree, None)]
+    while stack:
+        node, sibling_ids = stack.pop()
+        if sibling_ids is not None:
+            sibling_ids.append(len(objects))
         obj: dict = {"type": node.node_type}
         if node.token is not None:
             obj["value"] = node.token
         if node.resolved_type is not None:
             obj["token_type"] = node.resolved_type
         if node.children:
-            obj["children"] = [ids[id(child)] for child in node.children]
-        if i == 0:
-            obj["label"] = sample.label
+            child_ids: list[int] = []
+            obj["children"] = child_ids
+            stack.extend((child, child_ids) for child in reversed(node.children))
         objects.append(obj)
+    objects[0]["label"] = sample.label
     return json.dumps(objects, separators=(",", ":")) + "\n"
 
 

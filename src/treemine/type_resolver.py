@@ -1,12 +1,13 @@
 """Scoped symbol table type enrichment for ASTs.
 
-Annotates IDENTIFIER and LITERAL leaves with a resolved type string, or the
-NO_TYPE sentinel when resolution fails. Resolution is single-file: class
-members are visible order-independently, locals only at and after their
-declaration, inner bindings shadow outer ones.
+Sets the resolved_type of IDENTIFIER and LITERAL leaves, in place, to a
+resolved type string, or to the NO_TYPE sentinel when resolution fails.
+Resolution is single-file: class members are visible order-independently,
+locals only at and after their declaration, inner bindings shadow outer
+ones.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .ast_builder import AstNode
 
@@ -17,7 +18,6 @@ _COMMENT_TYPES = ("LINE_COMMENT", "BLOCK_COMMENT")
 
 @dataclass
 class Scope:
-    kind: str  # "class", "method" or "block"
     bindings: dict[str, str] = field(default_factory=dict)
     parent: "Scope | None" = None
 
@@ -36,10 +36,11 @@ def resolve_identifier(name: str, scope: Scope) -> str:
 
 
 def annotate_types(tree: AstNode) -> AstNode:
-    """Return a copy of a FILE-rooted AST with resolved_type filled in.
+    """Fill in resolved_type across a FILE-rooted AST, in place.
 
-    Never fails: anything unresolvable gets NO_TYPE. The input tree is not
-    modified.
+    Returns `tree` itself. The tree is changed, not copied: pass the AST
+    that build_ast has just built for this file, which nothing else holds.
+    Never fails: anything unresolvable gets NO_TYPE.
     """
     classes = {}
     for child in tree.children:
@@ -47,16 +48,15 @@ def annotate_types(tree: AstNode) -> AstNode:
             name = _first_identifier_token(child)
             if name:
                 classes[name] = name
-    children = []
     for child in tree.children:
         if child.node_type == "CLASS_DECL":
-            children.append(_annotate_class(child, classes))
+            _annotate_class(child, classes)
         else:
-            children.append(_annotate(child, Scope("class", dict(classes)), {}))
-    return replace(tree, children=children)
+            _annotate(child, Scope(dict(classes)), {})
+    return tree
 
 
-def _annotate_class(node: AstNode, classes: dict[str, str]) -> AstNode:
+def _annotate_class(node: AstNode, classes: dict[str, str]) -> None:
     class_name = _first_identifier_token(node)
     bindings = dict(classes)
     methods: dict[str, str] = {}
@@ -70,31 +70,28 @@ def _annotate_class(node: AstNode, classes: dict[str, str]) -> AstNode:
             methods[name] = _declared_type_text(member) or NO_TYPE
         elif member.node_type == "CONSTRUCTOR_DECL":
             methods[name] = class_name or NO_TYPE
-    scope = Scope("class", bindings)
+    scope = Scope(bindings)
 
-    children = []
     named = False
     for child in node.children:
         if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            children.append(replace(child, resolved_type=class_name or NO_TYPE))
+            child.resolved_type = class_name or NO_TYPE
             named = True
         elif child.node_type == "METHOD_DECL":
-            children.append(_annotate_callable(
-                child, scope, methods, _declared_type_text(child) or NO_TYPE))
+            _annotate_callable(child, scope, methods,
+                               _declared_type_text(child) or NO_TYPE)
         elif child.node_type == "CONSTRUCTOR_DECL":
-            children.append(_annotate_callable(
-                child, scope, methods, class_name or NO_TYPE))
+            _annotate_callable(child, scope, methods, class_name or NO_TYPE)
         elif child.node_type == "FIELD_DECL":
-            children.append(_annotate_declarator(child, scope, methods,
-                                                 _declared_type_text(child) or NO_TYPE))
+            _annotate_declarator(child, scope, methods,
+                                 _declared_type_text(child) or NO_TYPE)
         else:
-            children.append(_annotate(child, scope, methods))
-    return replace(node, children=children)
+            _annotate(child, scope, methods)
 
 
 def _annotate_callable(node: AstNode, class_scope: Scope,
-                       methods: dict[str, str], decl_type: str) -> AstNode:
-    scope = Scope("method", {}, class_scope)
+                       methods: dict[str, str], decl_type: str) -> None:
+    scope = Scope({}, class_scope)
     for child in node.children:
         if child.node_type == "PARAMETER_LIST":
             for param in child.children:
@@ -102,84 +99,72 @@ def _annotate_callable(node: AstNode, class_scope: Scope,
                     name = _first_identifier_token(param)
                     if name:
                         scope.bindings[name] = _declared_type_text(param) or NO_TYPE
-    children = []
     named = False
     for child in node.children:
         if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            children.append(replace(child, resolved_type=decl_type))
+            child.resolved_type = decl_type
             named = True
         elif child.node_type == "PARAMETER_LIST":
-            params = []
             for param in child.children:
                 if param.node_type == "PARAMETER":
-                    params.append(_annotate_declarator(
-                        param, scope, methods, _declared_type_text(param) or NO_TYPE))
+                    _annotate_declarator(param, scope, methods,
+                                         _declared_type_text(param) or NO_TYPE)
                 else:
-                    params.append(_annotate(param, scope, methods))
-            children.append(replace(child, children=params))
+                    _annotate(param, scope, methods)
         else:
-            children.append(_annotate(child, scope, methods))
-    return replace(node, children=children)
+            _annotate(child, scope, methods)
 
 
 def _annotate_declarator(node: AstNode, scope: Scope,
-                         methods: dict[str, str], decl_type: str) -> AstNode:
+                         methods: dict[str, str], decl_type: str) -> None:
     # fields, parameters and locals: the declared-name leaf gets the
     # declared type; the rest of the subtree resolves normally
-    children = []
     named = False
     for child in node.children:
         if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            children.append(replace(child, resolved_type=decl_type))
+            child.resolved_type = decl_type
             named = True
         else:
-            children.append(_annotate(child, scope, methods))
-    return replace(node, children=children)
+            _annotate(child, scope, methods)
 
 
-def _annotate(node: AstNode, scope: Scope, methods: dict[str, str]) -> AstNode:
+def _annotate(node: AstNode, scope: Scope, methods: dict[str, str]) -> None:
     base = node.node_type.split(":", 1)[0]
     if node.is_leaf():
         if base == "IDENTIFIER":
-            return replace(node, resolved_type=resolve_identifier(node.token or "", scope))
-        if base == "LITERAL":
-            return replace(node, resolved_type=_literal_type(node.token or ""))
-        return replace(node)
+            node.resolved_type = resolve_identifier(node.token or "", scope)
+        elif base == "LITERAL":
+            node.resolved_type = _literal_type(node.token or "")
+        return
 
-    if base == "CODE_BLOCK":
-        inner = Scope("block", {}, scope)
-        return replace(node, children=[_annotate(c, inner, methods)
-                                       for c in node.children])
-    if base == "FOR_STMT":
-        # loop variable scoped to the whole for statement
-        inner = Scope("block", {}, scope)
-        return replace(node, children=[_annotate(c, inner, methods)
-                                       for c in node.children])
-    if base == "LOCAL_VAR_DECL":
+    if base == "CODE_BLOCK" or base == "FOR_STMT":
+        # a FOR_STMT's loop variable is scoped to the whole statement
+        scope = Scope({}, scope)
+    elif base == "LOCAL_VAR_DECL":
         decl_type = _declared_type_text(node) or NO_TYPE
         name = _first_identifier_token(node)
         if name:
             # visible from the declaration itself onward
             scope.bindings[name] = decl_type
-        return _annotate_declarator(node, scope, methods, decl_type)
-    if base in ("REFERENCE_EXPR", "METHOD_CALL"):
-        children = []
+        _annotate_declarator(node, scope, methods, decl_type)
+        return
+    elif base == "REFERENCE_EXPR" or base == "METHOD_CALL":
         for i, child in enumerate(node.children):
             if child.is_leaf() and child.node_type == "IDENTIFIER":
                 if i > 0:
                     # trailing segment of a qualified chain
-                    resolved = NO_TYPE
+                    child.resolved_type = NO_TYPE
                 elif base == "METHOD_CALL":
-                    resolved = methods.get(child.token or "", NO_TYPE)
+                    child.resolved_type = methods.get(child.token or "", NO_TYPE)
                 else:
-                    resolved = resolve_identifier(child.token or "", scope)
-                children.append(replace(child, resolved_type=resolved))
+                    child.resolved_type = resolve_identifier(child.token or "",
+                                                             scope)
             else:
-                children.append(_annotate(child, scope, methods))
-        return replace(node, children=children)
+                _annotate(child, scope, methods)
+        return
 
-    return replace(node, children=[_annotate(c, scope, methods)
-                                   for c in node.children])
+    for child in node.children:
+        _annotate(child, scope, methods)
 
 
 def _literal_type(text: str) -> str:

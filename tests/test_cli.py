@@ -95,6 +95,19 @@ def test_dry_run_with_splits(tmp_path, capsys):
     assert "dataset.train.c2s" in out
 
 
+def test_non_ascii_digit_file_is_a_parse_failure(tmp_path, capsys):
+    # a digit str.isdigit() accepts but no number literal may hold
+    in_dir = tmp_path / "in"
+    write_files(in_dir, {"A.java": SOURCE,
+                         "Digit.java": "class D {\n    int x = \u0663;\n}\n"})
+    path = write_config(tmp_path, base_config(in_dir, tmp_path / "out"))
+    assert main(["--config", str(path)]) == EXIT_OK
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text(
+        encoding="utf-8"))
+    assert (stats["files_seen"], stats["files_parsed"],
+            stats["parse_failures"]) == (2, 1, 1)
+
+
 def test_missing_config_flag_exits():
     with pytest.raises(SystemExit):
         main([])

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from treemine import CstKind, LexError
 from treemine.lexer import tokenize
 
+from oracle_lexer import tokenize as oracle_tokenize
+
 
 def kinds(tokens):
     return [t.kind for t in tokens]
@@ -177,6 +179,19 @@ def test_unexpected_character():
     assert "#" in str(info.value)
 
 
+@pytest.mark.parametrize("source,column,char", [
+    ("int x = \u0663;", 9, "\u0663"),  # ARABIC-INDIC DIGIT THREE
+    ("1\u00b2", 2, "\u00b2"),  # SUPERSCRIPT TWO
+])
+def test_non_ascii_digit_rejected(source, column, char):
+    # str.isdigit() accepts these, but no number literal may hold them
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert info.value.line == 1
+    assert info.value.column == column
+    assert info.value.message == f"unexpected character {char!r}"
+
+
 def test_lone_ampersand_rejected():
     with pytest.raises(LexError):
         tokenize("a & b")
@@ -212,3 +227,24 @@ def test_spans_tile_the_source(source):
         offset = token.span.byte_offset_end
         line = token.span.line_start
     assert offset == len(source.encode("utf-8"))
+
+
+# Fragments that open, close or break every multi-character token, with
+# non-ASCII text that shifts byte offsets away from character offsets.
+_FRAGMENTS = ["//", "/*", "*/", "/", "*", '"', "'", '"\\\n', "'\\\n",
+              "\\", "\\\n", "\r\n", "\n", "\t", " ", "x", "if", "null",
+              "$_9", "0", "1.5e3f", "+", "&&", "=", "(", ";", "#", "\u00e9",
+              "\u00df", "\u65e5", "\u0663"]
+
+
+def _lex(tokenizer, source):
+    try:
+        return [(t.kind, t.text, t.span) for t in tokenizer(source)]
+    except LexError as exc:
+        return ("LexError", exc.line, exc.column, exc.message)
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+@settings(max_examples=500)
+def test_matches_reference_tokenizer(source):
+    assert _lex(tokenize, source) == _lex(oracle_tokenize, source)

@@ -1,9 +1,10 @@
 import pytest
 
-from treemine import CstKind, ParseError, parse_file
+from treemine import CstKind, ParseError, parse_file, validate_config
 from treemine.cst import TRIVIA_KINDS
+from treemine.pipeline import process_file
 
-from conftest import BAD_DIR, CORPUS_DIR
+from conftest import BAD_DIR, CORPUS_DIR, base_config
 
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.java"))
 
@@ -203,6 +204,31 @@ def test_unary_and_paren():
     assert shape.count(CstKind.PAREN_EXPR) == 1
 
 
+def test_binary_precedence_and_trivia_placement():
+    expr = ("a /*1*/ || b && /*2*/ c == d\n\t< e + f // 3\n"
+            "* g - h % /*4*/ i")
+    source = "class A { void f() { x = " + expr + "; } }"
+    root = parse_file(source)
+    assert root.reconstruct() == source
+    assignment = next(n for n in walk_cst(root)
+                      if n.kind is CstKind.ASSIGNMENT_EXPR)
+
+    def render(node):
+        # binary nodes in parentheses, whitespace as "_"
+        if node.kind is CstKind.WHITE_SPACE:
+            return "_"
+        if node.kind is CstKind.REFERENCE_EXPR:
+            return node.children[0].text
+        if not node.children:
+            return node.text
+        assert node.kind is CstKind.BINARY_EXPR
+        return "(" + " ".join(render(c) for c in node.children) + ")"
+
+    assert render(assignment.children[-1]) == (
+        "(a _ /*1*/ _ || _ (b _ && _ /*2*/ _ (c _ == _ (d _ < _ "
+        "((e _ + _ (f _ // 3 _ * _ g)) _ - _ (h _ % _ /*4*/ _ i))))))")
+
+
 def test_array_access_nests():
     root = parse_file("class A { void f() { v = grid[i][j]; } }")
     accesses = [n for n in walk_cst(root)
@@ -303,6 +329,29 @@ def test_parse_error_positions_use_character_columns():
         parse_file(source)
     assert info.value.line == 1
     assert info.value.column == 35
+
+
+def test_parse_error_column_after_tabs_and_block_comment():
+    # tabs count as one column; the comment's last line sets the column
+    source = ("class A {\n\tvoid f() {\n\t\t/* one\n\t\t   two */ int = 1;"
+              "\n\t}\n}\n")
+    with pytest.raises(ParseError) as info:
+        parse_file(source)
+    assert (info.value.line, info.value.column) == (4, 17)
+    assert info.value.expected == "variable name"
+    assert info.value.found == "'='"
+
+
+def test_deeply_nested_parentheses_do_not_escape(tmp_path):
+    body = "y = " + "(" * 100 + "x" + ")" * 100 + ";"
+    path = tmp_path / "Deep.java"
+    path.write_text("class Deep {\n    int deep(int x) {\n        " + body
+                    + "\n        return y;\n    }\n}\n", encoding="utf-8")
+    config = validate_config(base_config(
+        tmp_path, tmp_path / "out", storage={"format": "code2seq_typed"}))
+    result = process_file(path, "Deep.java", config)
+    assert result.error is None
+    assert len(result.units) == 1 and result.units[0].kept
 
 
 @pytest.mark.parametrize("path", sorted(BAD_DIR.glob("*.java")),

@@ -19,12 +19,14 @@ def lookup(tree, token, occurrence=0):
     return hits[occurrence].resolved_type
 
 
-def test_annotate_leaves_input_untouched():
+def test_annotate_sets_types_in_place():
     tree = build("class A { }")
+    name = tree.children[0].children[0]
+    assert name.resolved_type is None
     result = annotate_types(tree)
-    assert result is not tree
-    assert tree.children[0].children[0].resolved_type is None
-    assert result.children[0].children[0].resolved_type == "A"
+    assert result is tree
+    assert result.children[0].children[0] is name
+    assert name.resolved_type == "A"
 
 
 @pytest.mark.parametrize("literal,expected", [
@@ -187,8 +189,8 @@ def test_for_loop_variable_scoped_to_loop():
 
 
 def test_resolve_identifier_walks_scope_chain():
-    outer = Scope("class", {"a": "int"}, None)
-    inner = Scope("block", {"b": "double"}, outer)
+    outer = Scope({"a": "int"}, None)
+    inner = Scope({"b": "double"}, outer)
     assert resolve_identifier("a", inner) == "int"
     assert resolve_identifier("b", inner) == "double"
     assert resolve_identifier("c", inner) == NO_TYPE
