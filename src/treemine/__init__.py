@@ -3,7 +3,7 @@
 from .ast_builder import AstNode, IgnoreList, build_ast, count_nodes, default_ignore_list
 from .cst import CstKind, CstNode, SourceSpan
 from .errors import ConfigError, LexError, ParseError
-from .filters import FilterSpec, accept, apply_all
+from .filters import FilterSpec, accept
 from .granularity import split
 from .labels import LabeledTree, extract_method_name, extract_none
 from .parser import parse_file
@@ -19,8 +19,8 @@ __all__ = [
     "AstNode", "ConfigError", "CstKind", "CstNode", "FilterSpec",
     "IgnoreList", "LabeledTree", "LexError", "MinerLimits", "NO_TYPE",
     "ParseError", "PathContext", "PipelineConfig", "RunStatistics", "Scope",
-    "SourceSpan", "StorageSpec", "accept", "annotate_types", "apply_all",
-    "build_ast", "count_nodes", "default_ignore_list", "enumerate_paths",
+    "SourceSpan", "StorageSpec", "accept", "annotate_types", "build_ast",
+    "count_nodes", "default_ignore_list", "enumerate_paths",
     "extract_method_name", "extract_none", "load_config", "parse_file",
     "resolve_identifier", "run", "sample_contexts", "split",
     "split_subtokens", "validate_config",

@@ -12,8 +12,6 @@ FILTER_NAMES = ("tree_size", "code_lines", "abstract_method",
 # these only make sense on method-granularity units
 METHOD_ONLY_FILTERS = ("abstract_method", "override_method", "constructor")
 
-_METHOD_ROOTS = ("METHOD_DECL", "CONSTRUCTOR_DECL")
-
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -24,11 +22,10 @@ class FilterSpec:
 
 
 def accept(tree: AstNode, span: SourceSpan | None, spec: FilterSpec) -> bool:
-    """True means keep. Pure; raises ConfigError on granularity misuse."""
-    if spec.name in METHOD_ONLY_FILTERS and tree.node_type not in _METHOD_ROOTS:
-        raise ConfigError(
-            f"filter {spec.name!r} requires method granularity, "
-            f"got a {tree.node_type} tree")
+    """True means keep. Pure.
+
+    Method-only filters expect method units; validate_config enforces that.
+    """
     if spec.name == "tree_size":
         size = count_nodes(tree)
         if spec.max_nodes is not None and size > spec.max_nodes:
@@ -47,11 +44,6 @@ def accept(tree: AstNode, span: SourceSpan | None, spec: FilterSpec) -> bool:
     if spec.name == "constructor":
         return tree.node_type != "CONSTRUCTOR_DECL"
     raise ConfigError(f"unknown filter: {spec.name!r}")
-
-
-def apply_all(tree: AstNode, span: SourceSpan | None,
-              specs: list[FilterSpec]) -> bool:
-    return all(accept(tree, span, spec) for spec in specs)
 
 
 def _is_abstract(tree: AstNode) -> bool:

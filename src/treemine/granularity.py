@@ -4,7 +4,8 @@ from .ast_builder import AstNode
 
 GRANULARITY_LEVELS = ("file", "class", "method")
 
-_METHOD_TYPES = ("METHOD_DECL", "CONSTRUCTOR_DECL")
+# the node types of method-level units
+METHOD_NODE_TYPES = ("METHOD_DECL", "CONSTRUCTOR_DECL")
 
 
 def split(tree: AstNode, level: str) -> list[AstNode]:
@@ -18,5 +19,5 @@ def split(tree: AstNode, level: str) -> list[AstNode]:
     if level == "class":
         return [c for c in tree.children if c.node_type == "CLASS_DECL"]
     if level == "method":
-        return [n for n in tree.preorder() if n.node_type in _METHOD_TYPES]
+        return [n for n in tree.preorder() if n.node_type in METHOD_NODE_TYPES]
     raise ValueError(f"unknown granularity level: {level!r}")

@@ -1,21 +1,21 @@
 """Label extraction: produce (label, tree) pairs for supervised mining.
 
-The method-name extractor hides the target from the input tree: the
-declaration name becomes a placeholder token and every same-name call site
-is masked, so the label cannot leak through recursive calls.
+The method-name extractor hides the target in the unit it is given, in
+place: the declaration name becomes a placeholder token and every same-name
+call site is masked, so the label cannot leak through recursive calls.
+Units must not overlap; method units of one file AST never do, because the
+grammar has no nested classes, anonymous classes or lambdas.
 """
 
-import copy
 from dataclasses import dataclass
 
 from .ast_builder import AstNode
 from .errors import ConfigError
+from .granularity import METHOD_NODE_TYPES
 
 NO_LABEL = "NO_LABEL"
 DEFAULT_NAME_TOKEN = "METHOD_NAME"
 DEFAULT_RECURSION_TOKEN = "SELF"
-
-_METHOD_ROOTS = ("METHOD_DECL", "CONSTRUCTOR_DECL")
 
 
 @dataclass(frozen=True)
@@ -31,32 +31,28 @@ def extract_none(tree: AstNode) -> LabeledTree:
 def extract_method_name(tree: AstNode,
                         name_token: str = DEFAULT_NAME_TOKEN,
                         recursion_token: str = DEFAULT_RECURSION_TOKEN) -> LabeledTree:
-    """Label a method-rooted tree with its declared name, then hide it.
+    """Label a method-rooted tree with its declared name, hiding it in place.
 
-    The name leaf is replaced by name_token and every METHOD_CALL callee
-    matching the name by recursion_token. Constructors are labeled with the
-    class name. Tree shape, other tokens and resolved types are untouched.
+    The name leaf's token becomes name_token and every METHOD_CALL callee
+    matching the name becomes recursion_token, in the given tree, which the
+    returned sample holds. Constructors are labeled with the class name.
+    Tree shape, other tokens and resolved types are untouched. Trees
+    labeled one after another must not overlap, or the masking of one
+    would show in the other.
     """
-    if tree.node_type not in _METHOD_ROOTS:
+    if tree.node_type not in METHOD_NODE_TYPES:
         raise ConfigError(
             "method_name extraction requires method granularity; "
             f"got a {tree.node_type} tree")
-    label = None
-    for child in tree.children:
-        if child.is_leaf() and child.node_type == "IDENTIFIER":
-            label = child.token
-            break
-    if not label:
+    name_leaf = next((child for child in tree.children
+                      if child.is_leaf() and child.node_type == "IDENTIFIER"),
+                     None)
+    if name_leaf is None or not name_leaf.token:
         raise ConfigError("method tree has no declaration name leaf")
-
-    masked = copy.deepcopy(tree)
-    named = False
-    for child in masked.children:
-        if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            child.token = name_token
-            named = True
-    _mask_calls(masked, label, recursion_token)
-    return LabeledTree(label, masked)
+    label = name_leaf.token
+    name_leaf.token = name_token
+    _mask_calls(tree, label, recursion_token)
+    return LabeledTree(label, tree)
 
 
 def _mask_calls(node: AstNode, name: str, recursion_token: str) -> None:

@@ -95,11 +95,6 @@ def format_code2seq(sample: LabeledTree, contexts: list[PathContext],
     return " ".join(fields) + "\n"
 
 
-def write_code2seq(sample: LabeledTree, contexts: list[PathContext],
-                   typed: bool, sink: TextIO) -> None:
-    sink.write(format_code2seq(sample, contexts, typed))
-
-
 def _sanitize_type(text: str) -> str:
     # keep the comma-separated context grammar unambiguous
     return "".join(text.split()).replace(",", ";")
@@ -132,10 +127,6 @@ def format_jsonl_tree(sample: LabeledTree) -> str:
         objects.append(obj)
     objects[0]["label"] = sample.label
     return json.dumps(objects, separators=(",", ":")) + "\n"
-
-
-def write_jsonl_tree(sample: LabeledTree, sink: TextIO) -> None:
-    sink.write(format_jsonl_tree(sample))
 
 
 def format_sample(sample: LabeledTree, contexts: list[PathContext],

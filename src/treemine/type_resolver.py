@@ -10,10 +10,11 @@ ones.
 from dataclasses import dataclass, field
 
 from .ast_builder import AstNode
+from .cst import COMMENT_KINDS
 
 NO_TYPE = "NO_TYPE"
 
-_COMMENT_TYPES = ("LINE_COMMENT", "BLOCK_COMMENT")
+_COMMENT_TYPES = frozenset(kind.name for kind in COMMENT_KINDS)
 
 
 @dataclass

@@ -1,6 +1,4 @@
-import pytest
-
-from treemine import ConfigError, FilterSpec, accept, apply_all, count_nodes, split
+from treemine import FilterSpec, accept, count_nodes, split
 
 from conftest import build
 
@@ -77,25 +75,6 @@ def test_constructor_filter():
     assert accept(method, method.span, FilterSpec("constructor"))
 
 
-def test_method_only_filter_rejects_other_granularity():
-    tree = build(SMALL)
-    with pytest.raises(ConfigError):
-        accept(tree, tree.span, FilterSpec("abstract_method"))
-    with pytest.raises(ConfigError):
-        accept(tree.children[0], None, FilterSpec("constructor"))
-
-
 def test_tree_size_works_at_any_granularity():
     tree = build(SMALL)
     assert accept(tree, tree.span, FilterSpec("tree_size", max_nodes=1000))
-
-
-def test_apply_all():
-    unit = method_unit(SMALL)
-    size = count_nodes(unit)
-    passing = (FilterSpec("tree_size", max_nodes=size),
-               FilterSpec("constructor"))
-    failing = passing + (FilterSpec("tree_size", max_nodes=1),)
-    assert apply_all(unit, unit.span, passing)
-    assert not apply_all(unit, unit.span, failing)
-    assert apply_all(unit, unit.span, ())

@@ -49,12 +49,29 @@ def test_recursive_calls_are_masked():
     assert tokens(sample.tree).count("SELF") == 2
 
 
-def test_original_tree_untouched():
+def test_masks_input_tree_in_place():
     unit = method_unit(FIB)
-    before = tokens(unit)
-    extract_method_name(unit)
-    assert tokens(unit) == before
-    assert "fib" in before
+    assert "fib" in tokens(unit)
+    sample = extract_method_name(unit)
+    assert sample.tree is unit
+    assert "fib" not in tokens(unit)
+    assert tokens(unit).count("METHOD_NAME") == 1
+
+
+def test_labeling_one_unit_leaves_its_siblings_alone():
+    # half calls twice, which calls half: masking either must not reach
+    # into the other unit of the same file tree
+    source = ("class M { int half(int n) { if (n < 2) { return n; } "
+              "return twice(half(n / 2)); } "
+              "int twice(int n) { return half(n) + half(n); } }")
+    units = split(annotate_types(build(source)), "method")
+    samples = [extract_method_name(unit) for unit in units]
+    fresh = [extract_method_name(method_unit(source, i))
+             for i in range(len(units))]
+    assert [s.label for s in samples] == ["half", "twice"]
+    assert samples == fresh
+    assert tokens(samples[0].tree).count("twice") == 1
+    assert tokens(samples[1].tree).count("half") == 2
 
 
 def test_masked_nodes_keep_resolved_types():

@@ -342,8 +342,7 @@ def test_parse_error_column_after_tabs_and_block_comment():
     assert info.value.found == "'='"
 
 
-def test_deeply_nested_parentheses_do_not_escape(tmp_path):
-    body = "y = " + "(" * 100 + "x" + ")" * 100 + ";"
+def _assert_deep_method_is_kept(tmp_path, body):
     path = tmp_path / "Deep.java"
     path.write_text("class Deep {\n    int deep(int x) {\n        " + body
                     + "\n        return y;\n    }\n}\n", encoding="utf-8")
@@ -352,6 +351,19 @@ def test_deeply_nested_parentheses_do_not_escape(tmp_path):
     result = process_file(path, "Deep.java", config)
     assert result.error is None
     assert len(result.units) == 1 and result.units[0].kept
+
+
+def test_deeply_nested_parentheses_do_not_escape(tmp_path):
+    _assert_deep_method_is_kept(
+        tmp_path, "y = " + "(" * 100 + "x" + ")" * 100 + ";")
+
+
+@pytest.mark.parametrize("body", [
+    " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(300)),
+    "y = x" + ".next()" * 500 + ";",
+], ids=["else_if_chain_300", "call_chain_500"])
+def test_long_chains_do_not_escape(tmp_path, body):
+    _assert_deep_method_is_kept(tmp_path, body)
 
 
 @pytest.mark.parametrize("path", sorted(BAD_DIR.glob("*.java")),

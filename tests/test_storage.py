@@ -8,7 +8,7 @@ from treemine import (LabeledTree, MinerLimits, PathContext, RunStatistics,
                       StorageSpec, enumerate_paths)
 from treemine.ast_builder import AstNode
 from treemine.storage import (finalize, format_code2seq, format_jsonl_tree,
-                              format_sample, write_code2seq, write_jsonl_tree)
+                              format_sample)
 
 
 def ctx(start, path, end, start_type="NO_TYPE", end_type="NO_TYPE"):
@@ -93,13 +93,6 @@ def test_operator_suffix_path_labels_pass_through():
     assert "IDENTIFIER|BINARY_EXPR:+|LITERAL" in line
 
 
-def test_write_code2seq_appends_to_sink():
-    sink = io.StringIO()
-    write_code2seq(SAMPLE, [], False, sink)
-    write_code2seq(SAMPLE, ONE_CTX, False, sink)
-    assert sink.getvalue().count("\n") == 2
-
-
 def test_jsonl_single_leaf_exact_bytes():
     sample = LabeledTree("NO_LABEL", AstNode("IDENTIFIER", token="x"))
     assert format_jsonl_tree(sample) == \
@@ -165,12 +158,6 @@ def test_jsonl_round_trips_to_equal_tree():
                        children=[rebuild(c) for c in raw.get("children", [])])
 
     assert rebuild(0) == tree
-
-
-def test_write_jsonl_tree():
-    sink = io.StringIO()
-    write_jsonl_tree(LabeledTree("a", AstNode("IDENTIFIER", token="x")), sink)
-    assert sink.getvalue().endswith("\n")
 
 
 def test_format_sample_dispatch():
