@@ -7,7 +7,8 @@ from .filters import FilterSpec, accept
 from .granularity import split
 from .labels import LabeledTree, extract_method_name, extract_none
 from .parser import parse_file
-from .paths import MinerLimits, PathContext, enumerate_paths, sample_contexts, split_subtokens
+from .paths import (MinerLimits, PathContext, enumerate_paths, mine, sample_contexts,
+                    split_subtokens)
 from .pipeline import run
 from .config import PipelineConfig, load_config, validate_config
 from .storage import RunStatistics, StorageSpec
@@ -21,7 +22,7 @@ __all__ = [
     "ParseError", "PathContext", "PipelineConfig", "RunStatistics", "Scope",
     "SourceSpan", "StorageSpec", "accept", "annotate_types", "build_ast",
     "count_nodes", "default_ignore_list", "enumerate_paths",
-    "extract_method_name", "extract_none", "load_config", "parse_file",
+    "extract_method_name", "extract_none", "load_config", "mine", "parse_file",
     "resolve_identifier", "run", "sample_contexts", "split",
     "split_subtokens", "validate_config",
 ]

@@ -9,7 +9,8 @@ node-wise with their children hoisted into the parent.
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .cst import COMMENT_KINDS, CST_KIND_NAMES, CstKind, CstNode, SourceSpan, TRIVIA_KINDS
+from .cst import (COMMENT_KINDS, CST_KIND_NAMES, KIND_NAME, CstKind, CstNode,
+                  SourceSpan, TRIVIA_KINDS)
 from .errors import ConfigError
 
 # Kinds whose leaves are structural punctuation/keywords; dropped by default
@@ -41,16 +42,20 @@ class AstNode:
         return not self.children
 
     def leaves(self) -> Iterator["AstNode"]:
-        if self.is_leaf():
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                yield node
 
     def preorder(self) -> Iterator["AstNode"]:
-        yield self
-        for child in self.children:
-            yield from child.preorder()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -97,14 +102,14 @@ def _convert(node: CstNode, drop: frozenset[CstKind]) -> list[AstNode]:
     if kind in drop and (node.is_leaf() or kind in COMMENT_KINDS):
         return []
     if node.is_leaf():
-        return [AstNode(kind.name, token=node.text, span=node.span)]
+        return [AstNode(KIND_NAME[kind], token=node.text, span=node.span)]
 
     if (kind in _COLLAPSE_TO_LEAF and kind not in drop
             and _drops_significant_leaf(node, drop)):
         text = _presentable_text(node)
         if not text:
             return []
-        return [AstNode(kind.name, token=text, span=node.span)]
+        return [AstNode(KIND_NAME[kind], token=text, span=node.span)]
 
     converted: list[AstNode] = []
     for child in node.children:
@@ -117,11 +122,11 @@ def _convert(node: CstNode, drop: frozenset[CstKind]) -> list[AstNode]:
     if kind is CstKind.PAREN_EXPR and len(converted) == 1:
         return converted
 
-    node_type = kind.name
+    node_type = KIND_NAME[kind]
     if kind in _OPERATOR_SUFFIXED and CstKind.OPERATOR in drop:
         op = next((c.text for c in node.children if c.kind is CstKind.OPERATOR), None)
         if op:
-            node_type = f"{kind.name}:{op}"
+            node_type = f"{node_type}:{op}"
     return [AstNode(node_type, children=converted, span=node.span)]
 
 

@@ -70,7 +70,9 @@ COMMENT_KINDS = frozenset({CstKind.LINE_COMMENT, CstKind.BLOCK_COMMENT})
 # Token kinds that structure-building skips over (they still become leaves).
 TRIVIA_KINDS = frozenset({CstKind.WHITE_SPACE}) | COMMENT_KINDS
 
-CST_KIND_NAMES = frozenset(k.name for k in CstKind)
+# `CstKind.name` is a Python-level property; tree walks look names up here.
+KIND_NAME = {kind: kind.name for kind in CstKind}
+CST_KIND_NAMES = frozenset(KIND_NAME.values())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .filters import accept
 from .granularity import split as split_units
 from .labels import extract_method_name, extract_none
 from .parser import parse_file
-from .paths import enumerate_paths, sample_contexts
+from .paths import mine
 from .storage import RunStatistics, finalize, format_sample
 from .type_resolver import annotate_types
 
@@ -104,10 +104,7 @@ def process_file(path: Path, relpath: str, config: PipelineConfig) -> FileResult
         if config.storage_format == "jsonl_trees":
             contexts = []
         else:
-            mined = enumerate_paths(sample.tree, config.miner)
-            leaf_count = sum(1 for _ in sample.tree.leaves())
-            contexts = sample_contexts(mined, config.miner,
-                                       tree_key=f"{sample.label}:{leaf_count}")
+            contexts = mine(sample.tree, config.miner, sample.label)
         line = format_sample(sample, contexts, config.storage_format)
         units.append(UnitResult(True, (), len(contexts), line))
     return FileResult(relpath, None, units)

@@ -1,8 +1,9 @@
 """Independent reference for path-context mining, used only by tests.
 
 Derives leaf-to-leaf paths from parent maps and explicit ancestor walks.
-This takes a different route than the production traversal (which compares
-root-down chains), so agreement between the two is meaningful evidence.
+This takes a different route than the production miner (which pairs each
+leaf with the leaves under its ancestors' later children), so agreement
+between the two is meaningful evidence.
 """
 
 from treemine import NO_TYPE, split_subtokens

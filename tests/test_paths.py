@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemine import (MinerLimits, NO_TYPE, enumerate_paths, sample_contexts,
-                      split_subtokens)
+from treemine import (MinerLimits, NO_TYPE, enumerate_paths, mine,
+                      sample_contexts, split_subtokens)
 from treemine.ast_builder import AstNode
 
 from conftest import random_ast
@@ -171,6 +171,79 @@ def test_tightening_limits_never_adds_contexts():
         loose_iter = iter(loose)
         # every tight context appears in loose, in the same relative order
         assert all(ctx in loose_iter for ctx in tight)
+
+
+_INNER_TYPES = ["CODE_BLOCK", "IF_STMT", "METHOD_CALL", "BINARY_EXPR:+"]
+_LEAF_TYPES = ["IDENTIFIER", "LITERAL"]
+_TOKENS = ["x", "getCount", "snake_case", "42"]
+
+
+@st.composite
+def ast_trees(draw):
+    """Trees of fan-out 0-5 and depth up to 8, at most about 60 nodes."""
+    budget = draw(st.integers(min_value=1, max_value=60))
+
+    def grow(depth):
+        nonlocal budget
+        budget -= 1
+        most = 0 if depth >= 8 else max(0, min(5, budget))
+        fan_out = draw(st.integers(min_value=0, max_value=most))
+        if fan_out == 0:
+            return AstNode(draw(st.sampled_from(_LEAF_TYPES)),
+                           token=draw(st.sampled_from(_TOKENS)),
+                           resolved_type=draw(st.sampled_from([None, "int"])))
+        return AstNode(draw(st.sampled_from(_INNER_TYPES)),
+                       children=[grow(depth + 1) for _ in range(fan_out)])
+
+    return grow(0)
+
+
+@given(ast_trees(), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=4),
+       st.integers(min_value=1, max_value=6), st.text(max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_miner_matches_oracle_on_random_limits(tree, max_nodes, width,
+                                               max_contexts, label):
+    limits = MinerLimits(max_path_nodes=max_nodes, max_path_width=width,
+                         max_contexts=max_contexts)
+    contexts = enumerate_paths(tree, limits)
+    assert contexts == oracle_enumerate(tree, max_nodes, width)
+    n_leaves = sum(1 for _ in tree.leaves())
+    assert mine(tree, limits, label) == sample_contexts(
+        contexts, limits, tree_key=f"{label}:{n_leaves}")
+
+
+def chain_tree(depth):
+    """A chain of `depth` inner nodes, built without recursion.
+
+    Side leaves flank the chain every 997 levels and on each of the last six
+    levels, and three leaves hang from the bottom node.
+    """
+    root = inner = AstNode("FILE")
+    for level in range(1, depth):
+        below = AstNode(_INNER_TYPES[level % len(_INNER_TYPES)])
+        if level % 997 == 0 or level >= depth - 6:
+            inner.children = [leaf("IDENTIFIER", f"left{level}"), below,
+                              leaf("LITERAL", f"right{level}")]
+        else:
+            inner.children = [below]
+        inner = below
+    inner.children = [leaf("IDENTIFIER", name) for name in ("a", "bC", "d_e")]
+    return root
+
+
+def test_deep_chain_mines_without_recursion():
+    tree = chain_tree(5000)
+    n_leaves = 2 * 11 + 3  # 11 flanked levels
+    assert sum(1 for _ in tree.preorder()) == 5000 + n_leaves
+    assert sum(1 for _ in tree.leaves()) == n_leaves
+    limits = MinerLimits(max_contexts=5)
+    contexts = enumerate_paths(tree, limits)
+    assert contexts == oracle_enumerate(tree, limits.max_path_nodes,
+                                        limits.max_path_width)
+    assert len(contexts) > limits.max_contexts
+    assert mine(tree, limits, "deep") == sample_contexts(
+        contexts, limits, tree_key=f"deep:{n_leaves}")
 
 
 def make_contexts(n):
