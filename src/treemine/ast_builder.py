@@ -1,15 +1,15 @@
 """CST to AST simplification.
 
-Walks the concrete tree depth-first and drops formatting plus any
-user-configured node kinds. Whitespace always goes. Comments are removed
-subtree-wise when ignored; other ignored internal kinds are spliced out
-node-wise with their children hoisted into the parent.
+One loop over an explicit stack drops whitespace and any user-configured
+node kinds: ignored leaves (comments among them) go, and an ignored
+internal kind is spliced out node-wise, its children hoisted into the parent.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
-from .cst import (COMMENT_KINDS, CST_KIND_NAMES, KIND_NAME, CstKind, CstNode,
+from .cst import (CST_KIND_NAMES, KIND_NAME, TOKEN_KINDS, CstKind, CstNode,
                   SourceSpan, TRIVIA_KINDS)
 from .errors import ConfigError
 
@@ -85,49 +85,51 @@ def build_ast(root: CstNode, ignore: IgnoreList) -> AstNode:
     if root.kind is not CstKind.FILE:
         raise ValueError(f"expected FILE root, got {root.kind.name}")
     drop = (frozenset(ignore.node_kinds) | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
-    children: list[AstNode] = []
-    for child in root.children:
-        children.extend(_convert(child, drop))
-    return AstNode("FILE", children=children, span=root.span)
+    tree = AstNode("FILE", span=root.span)
+    # top down, in preorder: each CST node with the child list it lands in
+    stack = list(zip(reversed(root.children), repeat(tree.children)))
+    # internal nodes in preorder, with their list and their index there;
+    # walked in reverse, a list changes only past a node's index until that
+    # node itself is handled
+    internal: list[tuple[AstNode, list[AstNode], int]] = []
+    while stack:
+        node, siblings = stack.pop()
+        kind = node.kind
+        if kind in TOKEN_KINDS:
+            if kind not in drop:
+                siblings.append(
+                    AstNode(KIND_NAME[kind], token=node.text, span=node.span))
+        elif kind in drop:
+            # node-wise removal: the node goes, its children take its place
+            stack.extend(zip(reversed(node.children), repeat(siblings)))
+        elif kind in _COLLAPSE_TO_LEAF and _drops_significant_leaf(node, drop):
+            text = _presentable_text(node)
+            if text:
+                siblings.append(AstNode(KIND_NAME[kind], token=text,
+                                        span=node.span))
+        else:
+            node_type = KIND_NAME[kind]
+            if kind in _OPERATOR_SUFFIXED and CstKind.OPERATOR in drop:
+                op = next((c.text for c in node.children
+                           if c.kind is CstKind.OPERATOR), None)
+                if op:
+                    node_type = f"{node_type}:{op}"
+            ast = AstNode(node_type, span=node.span)
+            internal.append((ast, siblings, len(siblings)))
+            siblings.append(ast)
+            stack.extend(zip(reversed(node.children), repeat(ast.children)))
+    # bottom up: an internal node left with no children goes, and a
+    # parenthesised expression holding one node is replaced by that node
+    for ast, siblings, index in reversed(internal):
+        if not ast.children:
+            del siblings[index]
+        elif len(ast.children) == 1 and ast.node_type == "PAREN_EXPR":
+            siblings[index] = ast.children[0]
+    return tree
 
 
 def count_nodes(tree: AstNode) -> int:
-    return 1 + sum(count_nodes(child) for child in tree.children)
-
-
-def _convert(node: CstNode, drop: frozenset[CstKind]) -> list[AstNode]:
-    kind = node.kind
-    if kind is CstKind.WHITE_SPACE:
-        return []
-    if kind in drop and (node.is_leaf() or kind in COMMENT_KINDS):
-        return []
-    if node.is_leaf():
-        return [AstNode(KIND_NAME[kind], token=node.text, span=node.span)]
-
-    if (kind in _COLLAPSE_TO_LEAF and kind not in drop
-            and _drops_significant_leaf(node, drop)):
-        text = _presentable_text(node)
-        if not text:
-            return []
-        return [AstNode(KIND_NAME[kind], token=text, span=node.span)]
-
-    converted: list[AstNode] = []
-    for child in node.children:
-        converted.extend(_convert(child, drop))
-    if kind in drop:
-        # node-wise removal: the node goes, its children take its place
-        return converted
-    if not converted:
-        return []
-    if kind is CstKind.PAREN_EXPR and len(converted) == 1:
-        return converted
-
-    node_type = KIND_NAME[kind]
-    if kind in _OPERATOR_SUFFIXED and CstKind.OPERATOR in drop:
-        op = next((c.text for c in node.children if c.kind is CstKind.OPERATOR), None)
-        if op:
-            node_type = f"{node_type}:{op}"
-    return [AstNode(node_type, children=converted, span=node.span)]
+    return sum(1 for _ in tree.preorder())
 
 
 def _drops_significant_leaf(node: CstNode, drop: frozenset[CstKind]) -> bool:

@@ -100,11 +100,13 @@ class CstNode:
 
     def leaves(self) -> Iterator["CstNode"]:
         """All leaves in source order."""
-        if self.is_leaf():
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf():
+                yield node
+            else:
+                stack.extend(reversed(node.children))
 
     def reconstruct(self) -> str:
         """In-order leaf-text concatenation; equals the original source."""

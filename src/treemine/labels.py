@@ -51,15 +51,10 @@ def extract_method_name(tree: AstNode,
         raise ConfigError("method tree has no declaration name leaf")
     label = name_leaf.token
     name_leaf.token = name_token
-    _mask_calls(tree, label, recursion_token)
+    for node in tree.preorder():
+        if node.node_type == "METHOD_CALL":
+            for child in node.children:
+                if (child.is_leaf() and child.node_type == "IDENTIFIER"
+                        and child.token == label):
+                    child.token = recursion_token
     return LabeledTree(label, tree)
-
-
-def _mask_calls(node: AstNode, name: str, recursion_token: str) -> None:
-    if node.node_type == "METHOD_CALL":
-        for child in node.children:
-            if (child.is_leaf() and child.node_type == "IDENTIFIER"
-                    and child.token == name):
-                child.token = recursion_token
-    for child in node.children:
-        _mask_calls(child, name, recursion_token)

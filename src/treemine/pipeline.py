@@ -35,7 +35,7 @@ LOOSE_PROJECT = "."
 @dataclass
 class UnitResult:
     kept: bool
-    rejected_by: tuple[str, ...]
+    rejected_by: str | None
     n_contexts: int
     line: str | None
 
@@ -91,10 +91,11 @@ def process_file(path: Path, relpath: str, config: PipelineConfig) -> FileResult
     tree = annotate_types(build_ast(cst, config.ignore))
     units = []
     for unit in split_units(tree, config.granularity):
-        rejected = tuple(spec.name for spec in config.filters
-                         if not accept(unit, unit.span, spec))
-        if rejected:
-            units.append(UnitResult(False, rejected, 0, None))
+        # a unit counts against the first filter that rejects it only
+        rejected_by = next((spec.name for spec in config.filters
+                            if not accept(unit, unit.span, spec)), None)
+        if rejected_by is not None:
+            units.append(UnitResult(False, rejected_by, 0, None))
             continue
         if config.extractor_name == "method_name":
             sample = extract_method_name(unit, config.name_token,
@@ -106,7 +107,7 @@ def process_file(path: Path, relpath: str, config: PipelineConfig) -> FileResult
         else:
             contexts = mine(sample.tree, config.miner, sample.label)
         line = format_sample(sample, contexts, config.storage_format)
-        units.append(UnitResult(True, (), len(contexts), line))
+        units.append(UnitResult(True, None, len(contexts), line))
     return FileResult(relpath, None, units)
 
 
@@ -152,9 +153,8 @@ def _consume(result: FileResult, stats: RunStatistics, sink: TextIO) -> None:
     stats.files_parsed += 1
     for unit in result.units:
         stats.trees_before_filters += 1
-        if not unit.kept:
-            for name in unit.rejected_by:
-                stats.record_rejection(name)
+        if unit.rejected_by is not None:
+            stats.record_rejection(unit.rejected_by)
             continue
         stats.trees_after_filters += 1
         if unit.line is not None:

@@ -84,7 +84,7 @@ def format_code2seq(sample: LabeledTree, contexts: list[PathContext],
     fields = [label]
     for ctx in contexts:
         start = "|".join(ctx.start_token)
-        path = "|".join(_sanitize_path_label(p) for p in ctx.path)
+        path = "|".join(ctx.path)  # node types hold no comma or whitespace
         end = "|".join(ctx.end_token)
         if typed:
             parts = (start, _sanitize_type(ctx.start_type), path,
@@ -98,10 +98,6 @@ def format_code2seq(sample: LabeledTree, contexts: list[PathContext],
 def _sanitize_type(text: str) -> str:
     # keep the comma-separated context grammar unambiguous
     return "".join(text.split()).replace(",", ";")
-
-
-def _sanitize_path_label(text: str) -> str:
-    return "".join(text.split()).replace(",", "")
 
 
 # -- JSONL tree format --------------------------------------------------------

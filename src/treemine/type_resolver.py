@@ -4,7 +4,8 @@ Sets the resolved_type of IDENTIFIER and LITERAL leaves, in place, to a
 resolved type string, or to the NO_TYPE sentinel when resolution fails.
 Resolution is single-file: class members are visible order-independently,
 locals only at and after their declaration, inner bindings shadow outer
-ones.
+ones. The walk is one loop over an explicit stack whose entries carry
+their scope, so tree depth is not bounded by the recursion limit.
 """
 
 from dataclasses import dataclass, field
@@ -84,8 +85,8 @@ def _annotate_class(node: AstNode, classes: dict[str, str]) -> None:
         elif child.node_type == "CONSTRUCTOR_DECL":
             _annotate_callable(child, scope, methods, class_name or NO_TYPE)
         elif child.node_type == "FIELD_DECL":
-            _annotate_declarator(child, scope, methods,
-                                 _declared_type_text(child) or NO_TYPE)
+            _annotate(child, scope, methods,
+                      _declared_type_text(child) or NO_TYPE)
         else:
             _annotate(child, scope, methods)
 
@@ -108,64 +109,63 @@ def _annotate_callable(node: AstNode, class_scope: Scope,
         elif child.node_type == "PARAMETER_LIST":
             for param in child.children:
                 if param.node_type == "PARAMETER":
-                    _annotate_declarator(param, scope, methods,
-                                         _declared_type_text(param) or NO_TYPE)
+                    _annotate(param, scope, methods,
+                              _declared_type_text(param) or NO_TYPE)
                 else:
                     _annotate(param, scope, methods)
         else:
             _annotate(child, scope, methods)
 
 
-def _annotate_declarator(node: AstNode, scope: Scope,
-                         methods: dict[str, str], decl_type: str) -> None:
-    # fields, parameters and locals: the declared-name leaf gets the
-    # declared type; the rest of the subtree resolves normally
-    named = False
-    for child in node.children:
-        if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            child.resolved_type = decl_type
-            named = True
-        else:
-            _annotate(child, scope, methods)
+def _annotate(root: AstNode, scope: Scope, methods: dict[str, str],
+              declared: str | None = None) -> None:
+    # entries are popped in preorder, so a local is bound before anything
+    # after its declaration resolves; `declared` is the type that a field,
+    # parameter or local gives its name, its first IDENTIFIER leaf child
+    stack = [(root, scope, declared)]
+    while stack:
+        node, scope, declared = stack.pop()
+        node_type = node.node_type
+        children = node.children
+        if not children:
+            if node_type == "IDENTIFIER":
+                node.resolved_type = resolve_identifier(node.token or "", scope)
+            elif node_type == "LITERAL":
+                node.resolved_type = _literal_type(node.token or "")
+            continue
 
-
-def _annotate(node: AstNode, scope: Scope, methods: dict[str, str]) -> None:
-    base = node.node_type.split(":", 1)[0]
-    if node.is_leaf():
-        if base == "IDENTIFIER":
-            node.resolved_type = resolve_identifier(node.token or "", scope)
-        elif base == "LITERAL":
-            node.resolved_type = _literal_type(node.token or "")
-        return
-
-    if base == "CODE_BLOCK" or base == "FOR_STMT":
-        # a FOR_STMT's loop variable is scoped to the whole statement
-        scope = Scope({}, scope)
-    elif base == "LOCAL_VAR_DECL":
-        decl_type = _declared_type_text(node) or NO_TYPE
-        name = _first_identifier_token(node)
-        if name:
-            # visible from the declaration itself onward
-            scope.bindings[name] = decl_type
-        _annotate_declarator(node, scope, methods, decl_type)
-        return
-    elif base == "REFERENCE_EXPR" or base == "METHOD_CALL":
-        for i, child in enumerate(node.children):
-            if child.is_leaf() and child.node_type == "IDENTIFIER":
-                if i > 0:
-                    # trailing segment of a qualified chain
-                    child.resolved_type = NO_TYPE
-                elif base == "METHOD_CALL":
-                    child.resolved_type = methods.get(child.token or "", NO_TYPE)
+        if node_type == "CODE_BLOCK" or node_type == "FOR_STMT":
+            # a FOR_STMT's loop variable is scoped to the whole statement
+            scope = Scope({}, scope)
+        elif node_type == "LOCAL_VAR_DECL":
+            declared = _declared_type_text(node) or NO_TYPE
+            name = _first_identifier_token(node)
+            if name:
+                # visible from the declaration itself onward
+                scope.bindings[name] = declared
+        elif node_type == "REFERENCE_EXPR" or node_type == "METHOD_CALL":
+            rest = []
+            for i, child in enumerate(children):
+                if child.is_leaf() and child.node_type == "IDENTIFIER":
+                    if i > 0:
+                        # trailing segment of a qualified chain
+                        child.resolved_type = NO_TYPE
+                    elif node_type == "METHOD_CALL":
+                        child.resolved_type = methods.get(child.token or "",
+                                                          NO_TYPE)
+                    else:
+                        child.resolved_type = resolve_identifier(
+                            child.token or "", scope)
                 else:
-                    child.resolved_type = resolve_identifier(child.token or "",
-                                                             scope)
-            else:
-                _annotate(child, scope, methods)
-        return
-
-    for child in node.children:
-        _annotate(child, scope, methods)
+                    rest.append(child)
+            children = rest
+        if declared is not None:
+            name_leaf = next((child for child in children if child.is_leaf()
+                              and child.node_type == "IDENTIFIER"), None)
+            if name_leaf is not None:
+                name_leaf.resolved_type = declared
+                children = [child for child in children if child is not name_leaf]
+        stack.extend([(child, scope, None) for child in reversed(children)])
 
 
 def _literal_type(text: str) -> str:

@@ -1,12 +1,50 @@
+import re
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treemine import (ConfigError, build_ast, count_nodes, default_ignore_list,
-                      parse_file)
+from treemine import (ConfigError, annotate_types, build_ast, count_nodes,
+                      default_ignore_list, parse_file)
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList
+from treemine.cst import CST_KIND_NAMES
 
-from conftest import CORPUS_DIR, build, find_all, find_one, leaf_tokens
+from conftest import (CORPUS_DIR, GOLDEN_DIR, RECURSIVE_DIR, build, find_all,
+                      find_one, leaf_tokens)
+from oracle_ast import oracle_annotate_types, oracle_build_ast
 
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.java"))
+# every parseable fixture and every golden input, plus locals whose
+# initializers name an outer binding of another type
+SOURCES = {path.name: path.read_text(encoding="utf-8") for path in (
+    CORPUS_FILES + sorted(RECURSIVE_DIR.glob("*.java"))
+    + sorted((GOLDEN_DIR / "input").rglob("*.java")))}
+SOURCES["Scopes.java"] = """class Scopes {
+    String x;
+    int f(boolean y) {
+        int x = x + 1;
+        for (int i = x; i < x; i = i + 1) { double y = y + (i); x = (x); }
+        return ((x));
+    }
+}
+"""
+COMMENTS = ("LINE_COMMENT", "BLOCK_COMMENT")
+IGNORE_LISTS = {
+    "default": DEFAULT_IGNORE_NAMES,
+    "nothing": (),
+    "default_and_comments": DEFAULT_IGNORE_NAMES + COMMENTS,
+    "class_decl": DEFAULT_IGNORE_NAMES + ("CLASS_DECL",),
+    "method_decl": DEFAULT_IGNORE_NAMES + ("METHOD_DECL",),
+    "parameter_list": DEFAULT_IGNORE_NAMES + ("PARAMETER_LIST",),
+    "paren_expr": DEFAULT_IGNORE_NAMES + ("PAREN_EXPR",),
+    "paren_expr_only": ("PAREN_EXPR",),
+    "declarations": ("LOCAL_VAR_DECL", "FIELD_DECL", "PARAMETER") + COMMENTS,
+    "blocks_and_references": DEFAULT_IGNORE_NAMES + (
+        "CODE_BLOCK", "REFERENCE_EXPR", "METHOD_CALL", "ARGUMENT_LIST"),
+    "types_and_modifiers": ("TYPE_REF", "MODIFIER_LIST", "MODIFIER",
+                            "ANNOTATION", "KEYWORD"),
+}
 
 
 def test_minimal_class_is_three_nodes():
@@ -203,3 +241,43 @@ def test_leaf_token_order_matches_source_order():
     tree = build("class A { int add(int p, int q) { return p + q; } }")
     tokens = leaf_tokens(tree)
     assert tokens == ["A", "int", "add", "int", "p", "int", "q", "p", "q"]
+
+
+@cache
+def _cst(name):
+    return parse_file(SOURCES[name], name)
+
+
+def _assert_matches_recursive_reference(names):
+    ignore = IgnoreList.from_names(names)
+    for name in SOURCES:
+        built = build_ast(_cst(name), ignore)
+        expected = oracle_build_ast(_cst(name), ignore)
+        assert built == expected, name
+        assert ([n.span for n in built.preorder()]
+                == [n.span for n in expected.preorder()]), name
+        assert annotate_types(built) == oracle_annotate_types(expected), name
+
+
+@pytest.mark.parametrize("names", IGNORE_LISTS.values(), ids=IGNORE_LISTS)
+def test_matches_recursive_reference(names):
+    _assert_matches_recursive_reference(names)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sets(st.sampled_from(sorted(CST_KIND_NAMES))))
+def test_matches_recursive_reference_on_drawn_ignore_lists(names):
+    _assert_matches_recursive_reference(sorted(names))
+
+
+# one kind name, with an operator suffix on BINARY_EXPR and UNARY_EXPR: no
+# comma or whitespace, so code2seq lines join node types as they are
+NODE_TYPE = re.compile(r"[A-Z_]+(:[^\s,]+)?")
+
+
+@pytest.mark.parametrize("names", IGNORE_LISTS.values(), ids=IGNORE_LISTS)
+def test_node_types_are_safe_path_labels(names):
+    ignore = IgnoreList.from_names(names)
+    for name in SOURCES:
+        for node in build_ast(_cst(name), ignore).preorder():
+            assert NODE_TYPE.fullmatch(node.node_type), (name, node.node_type)

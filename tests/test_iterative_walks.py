@@ -1,0 +1,58 @@
+"""Static guard: no tree walk below the parser recurses.
+
+Trees can be thousands of levels deep (a long `+` chain is built in a loop),
+so each walk over them is a loop over an explicit stack. This test parses
+the package sources and fails on any function that calls its own name,
+bare (`walk(child)`) or as an attribute (`child.leaves()`). The parser
+itself recurses by design and is left out.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import treemine
+
+PACKAGE = Path(treemine.__file__).parent
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "parser.py")
+
+
+def self_calls(source):
+    """Names of the functions in `source` that call their own name."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if ((isinstance(callee, ast.Name) and callee.id == func.name)
+                    or (isinstance(callee, ast.Attribute)
+                        and callee.attr == func.name
+                        and not _is_super_call(callee.value))):
+                found.append(func.name)
+                break
+    return found
+
+
+def _is_super_call(node):
+    # super().__init__(...) hands over to the base class; it does not recurse
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "super")
+
+
+def test_guard_sees_bare_and_attribute_self_calls():
+    source = ("def walk(node):\n    for c in node.children:\n        walk(c)\n"
+              "class N:\n    def leaves(self):\n"
+              "        for c in self.children:\n            yield from c.leaves()\n"
+              "class E(Exception):\n    def __init__(self):\n"
+              "        super().__init__('e')\n"
+              "def flat(node):\n    return list(node.children)\n")
+    assert self_calls(source) == ["walk", "leaves"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_below_the_parser_recurses(path):
+    assert self_calls(path.read_text(encoding="utf-8")) == []

@@ -342,12 +342,17 @@ def test_parse_error_column_after_tabs_and_block_comment():
     assert info.value.found == "'='"
 
 
-def _assert_deep_method_is_kept(tmp_path, body):
+def _deep_method(body):
+    return ("class Deep {\n    int deep(int x) {\n        " + body
+            + "\n        return y;\n    }\n}\n")
+
+
+def _assert_deep_method_is_kept(tmp_path, body, filters=()):
     path = tmp_path / "Deep.java"
-    path.write_text("class Deep {\n    int deep(int x) {\n        " + body
-                    + "\n        return y;\n    }\n}\n", encoding="utf-8")
+    path.write_text(_deep_method(body), encoding="utf-8")
     config = validate_config(base_config(
-        tmp_path, tmp_path / "out", storage={"format": "code2seq_typed"}))
+        tmp_path, tmp_path / "out", storage={"format": "code2seq_typed"},
+        filters=list(filters)))
     result = process_file(path, "Deep.java", config)
     assert result.error is None
     assert len(result.units) == 1 and result.units[0].kept
@@ -358,12 +363,30 @@ def test_deeply_nested_parentheses_do_not_escape(tmp_path):
         tmp_path, "y = " + "(" * 100 + "x" + ")" * 100 + ";")
 
 
+SUM_2000 = "y = " + " + ".join(["x"] * 2000) + ";"
+CALL_CHAIN_500 = "y = x" + ".next()" * 500 + ";"
+
+
 @pytest.mark.parametrize("body", [
     " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(300)),
-    "y = x" + ".next()" * 500 + ";",
-], ids=["else_if_chain_300", "call_chain_500"])
+    CALL_CHAIN_500,
+    SUM_2000,
+    "y = x" + "[0]" * 2000 + ";",
+], ids=["else_if_chain_300", "call_chain_500", "binary_chain_2000",
+        "index_chain_2000"])
 def test_long_chains_do_not_escape(tmp_path, body):
     _assert_deep_method_is_kept(tmp_path, body)
+
+
+def test_long_chain_under_tree_size_filter_does_not_escape(tmp_path):
+    _assert_deep_method_is_kept(
+        tmp_path, CALL_CHAIN_500,
+        filters=[{"name": "tree_size", "parameters": {"max_nodes": 100000}}])
+
+
+def test_long_chain_reconstructs_losslessly():
+    source = _deep_method(SUM_2000)
+    assert parse_file(source).reconstruct() == source
 
 
 @pytest.mark.parametrize("path", sorted(BAD_DIR.glob("*.java")),
