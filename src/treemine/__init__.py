@@ -1,6 +1,6 @@
 """treemine: mine ML-ready path-context and tree datasets from source code."""
 
-from .ast_builder import AstNode, IgnoreList, build_ast, count_nodes, default_ignore_list
+from .ast_builder import AstNode, IgnoreList, build_ast, count_nodes
 from .cst import CstKind, CstNode, SourceSpan
 from .errors import ConfigError, LexError, ParseError
 from .filters import FilterSpec, accept
@@ -21,7 +21,7 @@ __all__ = [
     "IgnoreList", "LabeledTree", "LexError", "MinerLimits", "NO_TYPE",
     "ParseError", "PathContext", "PipelineConfig", "RunStatistics", "Scope",
     "SourceSpan", "StorageSpec", "accept", "annotate_types", "build_ast",
-    "count_nodes", "default_ignore_list", "enumerate_paths",
+    "count_nodes", "enumerate_paths",
     "extract_method_name", "extract_none", "load_config", "mine", "parse_file",
     "resolve_identifier", "run", "sample_contexts", "split",
     "split_subtokens", "validate_config",

@@ -72,10 +72,6 @@ class IgnoreList:
         return cls(frozenset(CstKind[n] for n in names))
 
 
-def default_ignore_list() -> IgnoreList:
-    return IgnoreList.from_names(DEFAULT_IGNORE_NAMES)
-
-
 def build_ast(root: CstNode, ignore: IgnoreList) -> AstNode:
     """Simplify a FILE-rooted CST into an AST.
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList
+from .cst import CstKind
 from .errors import ConfigError
 from .filters import FILTER_NAMES, METHOD_ONLY_FILTERS, FilterSpec
 from .granularity import GRANULARITY_LEVELS
@@ -107,9 +108,21 @@ def validate_config(raw) -> PipelineConfig:
         problems.append("parallelism must be a positive integer")
         parallelism = 1
 
-    if extractor_name == "method_name" and granularity != "method":
-        problems.append("label_extractor method_name requires "
-                        "granularity \"method\"")
+    if extractor_name == "method_name":
+        if granularity != "method":
+            problems.append("label_extractor method_name requires "
+                            "granularity \"method\"")
+        # the label is the first IDENTIFIER leaf among the method's children
+        for kinds, problem in (
+                ({CstKind.IDENTIFIER},
+                 "ignoring IDENTIFIER leaves a method no name leaf"),
+                ({CstKind.TYPE_REF},
+                 "ignoring TYPE_REF can label a method by its return type"),
+                ({CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
+                 "ignoring MODIFIER_LIST and ANNOTATION can label a method "
+                 "by its annotation")):
+            if kinds <= ignore.node_kinds:
+                problems.append("label_extractor method_name: " + problem)
     method_only = [s.name for s in filters if s.name in METHOD_ONLY_FILTERS]
     if method_only and granularity != "method":
         problems.append("filters requiring method granularity: "

@@ -107,7 +107,3 @@ class CstNode:
                 yield node
             else:
                 stack.extend(reversed(node.children))
-
-    def reconstruct(self) -> str:
-        """In-order leaf-text concatenation; equals the original source."""
-        return "".join(leaf.text or "" for leaf in self.leaves())

@@ -1,16 +1,22 @@
 """Recursive descent parser for the Java-like subset.
 
 Builds lossless concrete syntax trees: every token, including whitespace and
-comments, becomes a leaf of the tree, attached to the node that consumed the
-following significant token. Parsing is single-pass. The parser keeps an
-index of the significant (non-trivia) tokens, so a lookahead of k tokens is
-one list lookup; it looks one token ahead, plus a bounded scan to tell
-constructors from methods and declarations from expression statements.
-Binary operators are parsed by precedence climbing. Token columns, needed
-only for error messages, are worked out when an error is raised.
-"""
+comments, becomes a leaf. As with IntelliJ's PsiBuilder, productions pass no
+child lists; they drive one stack of open nodes. `_open()` starts a node,
+`_wrap()` starts one around the node just completed (a left operand or a
+receiver), and `_close(kind)` ends the innermost node and appends it to its
+parent. Tokens are consumed only by `_advance`. Trivia stays with the
+enclosing node: `_open` and `_advance` first move pending whitespace and
+comments into the innermost open node. An `else if` chain is parsed in a
+loop, each IF_STMT open inside the previous one until the chain ends.
 
-from typing import Callable
+Parsing is single-pass. The parser keeps an index of the significant
+(non-trivia) tokens, so a lookahead of k tokens is one list lookup; it looks
+one token ahead, plus a bounded scan to tell constructors from methods and
+declarations from expression statements. Binary operators are parsed by
+precedence climbing. Token columns, needed only for error messages, are
+worked out when an error is raised.
+"""
 
 from .cst import CstKind, CstNode, SourceSpan, TRIVIA_KINDS
 from .errors import ParseError
@@ -34,15 +40,15 @@ def parse_file(source: str, path: str = "<memory>") -> CstNode:
     """Parse one source file into a FILE-rooted lossless CST.
 
     Raises LexError/ParseError; callers batch-processing files should catch
-    both, record the failure, and move on.
+    both, record the failure, and move on. `path` names the source for the
+    caller and does not change the tree.
     """
-    return _Parser(tokenize(source), path).parse_file()
+    return _Parser(tokenize(source))._file()
 
 
 class _Parser:
-    def __init__(self, tokens: list[CstNode], path: str):
+    def __init__(self, tokens: list[CstNode]):
         self.tokens = tokens
-        self.path = path
         self.pos = 0  # next unconsumed token, trivia included
         # Significant tokens and their indices in `tokens`; `_sig_pos`
         # indexes both and always points at the next significant token.
@@ -51,15 +57,14 @@ class _Parser:
         self._sig = [tokens[i] for i in self._sig_index]
         self._sig_index.append(len(tokens))
         self._sig_pos = 0
-        if tokens:
-            last = tokens[-1]
-            self._end_byte = last.span.byte_offset_end
-            self._end_line = last.span.line_end
-        else:
-            self._end_byte = 0
-            self._end_line = 1
+        last = tokens[-1].span if tokens else SourceSpan(0, 0, 1, 1)
+        self._end = SourceSpan(last.byte_offset_end, last.byte_offset_end,
+                               last.line_end, last.line_end)
+        # The children of each open node, innermost last. The bottom list
+        # receives the FILE node, which is open from the first token on.
+        self._stack: list[list[CstNode]] = [[], []]
 
-    # -- token stream helpers -------------------------------------------------
+    # -- token stream and node stack ------------------------------------------
 
     def _peek(self, offset: int = 0) -> CstNode | None:
         """The (offset+1)-th significant token ahead, skipping trivia."""
@@ -73,24 +78,22 @@ class _Parser:
     def _at(self, text: str) -> bool:
         return self._peek_text() == text
 
-    def _flush_trivia(self, children: list[CstNode]) -> None:
+    def _flush_trivia(self) -> None:
         end = self._sig_index[self._sig_pos]
         if end > self.pos:
-            children.extend(self.tokens[self.pos:end])
+            self._stack[-1].extend(self.tokens[self.pos:end])
             self.pos = end
 
-    def _advance(self, children: list[CstNode]) -> CstNode:
-        self._flush_trivia(children)
-        if self.pos >= len(self.tokens):
-            self._fail("more input")
+    def _advance(self) -> CstNode:
+        self._flush_trivia()
         tok = self.tokens[self.pos]
         self.pos += 1
         self._sig_pos += 1
-        children.append(tok)
+        self._stack[-1].append(tok)
         return tok
 
-    def _expect(self, children: list[CstNode], expected: str,
-                kind: CstKind | None = None, text: str | None = None) -> CstNode:
+    def _expect(self, expected: str, kind: CstKind | None = None,
+                text: str | None = None) -> CstNode:
         tok = self._peek()
         if tok is None:
             self._fail(expected)
@@ -98,12 +101,32 @@ class _Parser:
             self._fail(expected)
         if text is not None and tok.text != text:
             self._fail(expected)
-        return self._advance(children)
+        return self._advance()
+
+    def _open(self) -> None:
+        self._flush_trivia()
+        self._stack.append([])
+
+    def _wrap(self) -> None:
+        self._stack.append([self._stack[-1].pop()])
+
+    def _close(self, kind: CstKind) -> None:
+        children = self._stack.pop()
+        if children:
+            first, last = children[0].span, children[-1].span
+            span = SourceSpan(first.byte_offset_start, last.byte_offset_end,
+                              first.line_start, last.line_end)
+        else:  # zero-width, at the next unconsumed token
+            at = (self.tokens[self.pos].span if self.pos < len(self.tokens)
+                  else self._end)
+            span = SourceSpan(at.byte_offset_start, at.byte_offset_start,
+                              at.line_start, at.line_start)
+        self._stack[-1].append(CstNode(kind, span, children=children))
 
     def _fail(self, expected: str):
         tok = self._peek()
         if tok is None:
-            raise ParseError(self._end_line, 1, expected, "end of file")
+            raise ParseError(self._end.line_start, 1, expected, "end of file")
         raise ParseError(tok.span.line_start,
                          self._column(self._sig_index[self._sig_pos]),
                          expected, repr(tok.text))
@@ -119,146 +142,119 @@ class _Parser:
             width += len(text)
         return width + 1
 
-    def _sub(self, children: list[CstNode], parse: Callable[[], CstNode]) -> CstNode:
-        """Parse a child node, attaching its leading trivia to `children`."""
-        self._flush_trivia(children)
-        node = parse()
-        children.append(node)
-        return node
-
-    def _node(self, kind: CstKind, children: list[CstNode]) -> CstNode:
-        if not children:
-            return self._empty_node(kind)
-        first = children[0].span
-        last = children[-1].span
-        span = SourceSpan(first.byte_offset_start, last.byte_offset_end,
-                          first.line_start, last.line_end)
-        return CstNode(kind, span, children=children)
-
-    def _empty_node(self, kind: CstKind) -> CstNode:
-        # Zero-width node anchored at the next unconsumed position.
-        if self.pos < len(self.tokens):
-            anchor = self.tokens[self.pos].span
-            byte, line = anchor.byte_offset_start, anchor.line_start
-        else:
-            byte, line = self._end_byte, self._end_line
-        return CstNode(kind, SourceSpan(byte, byte, line, line))
-
     # -- declarations ---------------------------------------------------------
 
-    def parse_file(self) -> CstNode:
-        children: list[CstNode] = []
+    def _file(self) -> CstNode:
         while True:
             tok = self._peek()
             if tok is None:
                 break
             if tok.kind is CstKind.KEYWORD and (
                     tok.text == "class" or tok.text in MODIFIER_KEYWORDS):
-                self._sub(children, self._class_decl)
+                self._class_decl()
             elif tok.kind is CstKind.IDENTIFIER and tok.text in ("package", "import"):
                 # header lines are kept as raw leaf tokens, not parsed
                 while not self._at(";"):
                     if self._peek() is None:
                         self._fail("';'")
-                    self._advance(children)
-                self._expect(children, "';'", text=";")
+                    self._advance()
+                self._expect("';'", text=";")
             else:
                 self._fail("class declaration")
-        self._flush_trivia(children)
-        if not children:
-            return CstNode(CstKind.FILE, SourceSpan(0, 0, 1, 1))
-        return self._node(CstKind.FILE, children)
+        self._flush_trivia()
+        self._close(CstKind.FILE)
+        return self._stack[0][0]
 
-    def _class_decl(self) -> CstNode:
-        children: list[CstNode] = []
-        children.append(self._modifier_list(allow_annotations=False))
-        self._expect(children, "'class'", kind=CstKind.KEYWORD, text="class")
-        name = self._expect(children, "class name", kind=CstKind.IDENTIFIER)
+    def _class_decl(self) -> None:
+        self._open()
+        self._modifier_list(allow_annotations=False)
+        self._expect("'class'", kind=CstKind.KEYWORD, text="class")
+        name = self._expect("class name", kind=CstKind.IDENTIFIER).text
         if self._at("extends"):
-            self._expect(children, "'extends'", kind=CstKind.KEYWORD)
-            self._sub(children, self._type_ref)
+            self._expect("'extends'", kind=CstKind.KEYWORD)
+            self._type_ref()
         if self._at("implements"):
-            self._expect(children, "'implements'", kind=CstKind.KEYWORD)
-            self._sub(children, self._type_ref)
+            self._expect("'implements'", kind=CstKind.KEYWORD)
+            self._type_ref()
             while self._at(","):
-                self._expect(children, "','", text=",")
-                self._sub(children, self._type_ref)
-        self._expect(children, "'{'", text="{")
+                self._expect("','", text=",")
+                self._type_ref()
+        self._expect("'{'", text="{")
         while True:
             tok = self._peek()
             if tok is None:
                 self._fail("'}'")
             if tok.text == "}":
                 break
-            self._sub(children, lambda: self._member(name.text))
-        self._expect(children, "'}'", text="}")
-        return self._node(CstKind.CLASS_DECL, children)
+            self._member(name)
+        self._expect("'}'", text="}")
+        self._close(CstKind.CLASS_DECL)
 
-    def _modifier_list(self, allow_annotations: bool) -> CstNode:
-        children: list[CstNode] = []
+    def _modifier_list(self, allow_annotations: bool) -> None:
+        self._open()
         while True:
             tok = self._peek()
             if tok is None:
                 break
             if tok.kind is CstKind.KEYWORD and tok.text in MODIFIER_KEYWORDS:
-                self._flush_trivia(children)
-                inner: list[CstNode] = []
-                self._advance(inner)
-                children.append(self._node(CstKind.MODIFIER, inner))
+                self._open()
+                self._advance()
+                self._close(CstKind.MODIFIER)
             elif allow_annotations and tok.text == "@":
-                self._flush_trivia(children)
-                inner = []
-                self._expect(inner, "'@'", text="@")
-                self._expect(inner, "annotation name", kind=CstKind.IDENTIFIER)
-                children.append(self._node(CstKind.ANNOTATION, inner))
+                self._open()
+                self._expect("'@'", text="@")
+                self._expect("annotation name", kind=CstKind.IDENTIFIER)
+                self._close(CstKind.ANNOTATION)
             else:
                 break
-        return self._node(CstKind.MODIFIER_LIST, children)
+        self._close(CstKind.MODIFIER_LIST)
 
-    def _member(self, class_name: str | None) -> CstNode:
-        children: list[CstNode] = []
-        children.append(self._modifier_list(allow_annotations=True))
+    def _member(self, class_name: str | None) -> None:
+        self._open()
+        self._modifier_list(allow_annotations=True)
         first = self._peek()
         second = self._peek(1)
         if (first is not None and first.kind is CstKind.IDENTIFIER
                 and first.text == class_name
                 and second is not None and second.text == "("):
-            self._expect(children, "constructor name", kind=CstKind.IDENTIFIER)
-            self._sub(children, self._parameter_list)
-            self._sub(children, self._code_block)
-            return self._node(CstKind.CONSTRUCTOR_DECL, children)
+            self._expect("constructor name", kind=CstKind.IDENTIFIER)
+            self._list(CstKind.PARAMETER_LIST, self._parameter)
+            self._code_block()
+            self._close(CstKind.CONSTRUCTOR_DECL)
+            return
 
-        self._sub(children, self._type_ref)
-        self._expect(children, "identifier", kind=CstKind.IDENTIFIER)
+        self._type_ref()
+        self._expect("identifier", kind=CstKind.IDENTIFIER)
         if self._at("("):
-            self._sub(children, self._parameter_list)
+            self._list(CstKind.PARAMETER_LIST, self._parameter)
             if self._at("{"):
-                self._sub(children, self._code_block)
+                self._code_block()
             else:
-                self._expect(children, "method body or ';'", text=";")
-            return self._node(CstKind.METHOD_DECL, children)
+                self._expect("method body or ';'", text=";")
+            self._close(CstKind.METHOD_DECL)
+            return
         if self._at("="):
-            self._expect(children, "'='", kind=CstKind.OPERATOR, text="=")
-            self._sub(children, self._expression)
-        self._expect(children, "';'", text=";")
-        return self._node(CstKind.FIELD_DECL, children)
+            self._expect("'='", kind=CstKind.OPERATOR, text="=")
+            self._expression()
+        self._expect("';'", text=";")
+        self._close(CstKind.FIELD_DECL)
 
-    def _type_ref(self) -> CstNode:
-        children: list[CstNode] = []
+    def _type_ref(self) -> None:
+        self._open()
         tok = self._peek()
         if tok is None:
             self._fail("type")
         if tok.kind is CstKind.KEYWORD and tok.text in _TYPE_START_KEYWORDS:
-            self._advance(children)
+            self._advance()
         elif tok.kind is CstKind.IDENTIFIER:
-            self._advance(children)
+            self._advance()
             while self._at(".") and self._is_identifier(self._peek(1)):
-                self._expect(children, "'.'", text=".")
-                self._expect(children, "type name", kind=CstKind.IDENTIFIER)
+                self._expect("'.'", text=".")
+                self._expect("type name", kind=CstKind.IDENTIFIER)
         else:
             self._fail("type")
         if self._at("<"):
-            self._expect(children, "'<'", kind=CstKind.OPERATOR, text="<")
+            self._expect("'<'", kind=CstKind.OPERATOR, text="<")
             depth = 1
             while depth > 0:
                 inner = self._peek()
@@ -268,45 +264,46 @@ class _Parser:
                     depth += 1
                 elif inner.text == ">":
                     depth -= 1
-                self._advance(children)
+                self._advance()
         while self._at("[") and self._peek_text(1) == "]":
-            self._expect(children, "'['", text="[")
-            self._expect(children, "']'", text="]")
-        return self._node(CstKind.TYPE_REF, children)
+            self._expect("'['", text="[")
+            self._expect("']'", text="]")
+        self._close(CstKind.TYPE_REF)
 
-    def _parameter_list(self) -> CstNode:
-        children: list[CstNode] = []
-        self._expect(children, "'('", text="(")
+    def _list(self, kind: CstKind, item) -> None:
+        """'(' (item (',' item)*)? ')': a parameter or an argument list."""
+        self._open()
+        self._expect("'('", text="(")
         if not self._at(")"):
-            self._sub(children, self._parameter)
+            item()
             while self._at(","):
-                self._expect(children, "','", text=",")
-                self._sub(children, self._parameter)
-        self._expect(children, "')'", text=")")
-        return self._node(CstKind.PARAMETER_LIST, children)
+                self._expect("','", text=",")
+                item()
+        self._expect("')'", text=")")
+        self._close(kind)
 
-    def _parameter(self) -> CstNode:
-        children: list[CstNode] = []
-        self._sub(children, self._type_ref)
-        self._expect(children, "parameter name", kind=CstKind.IDENTIFIER)
-        return self._node(CstKind.PARAMETER, children)
+    def _parameter(self) -> None:
+        self._open()
+        self._type_ref()
+        self._expect("parameter name", kind=CstKind.IDENTIFIER)
+        self._close(CstKind.PARAMETER)
 
     # -- statements -----------------------------------------------------------
 
-    def _code_block(self) -> CstNode:
-        children: list[CstNode] = []
-        self._expect(children, "'{'", text="{")
+    def _code_block(self) -> None:
+        self._open()
+        self._expect("'{'", text="{")
         while True:
             tok = self._peek()
             if tok is None:
                 self._fail("'}'")
             if tok.text == "}":
                 break
-            self._sub(children, self._statement)
-        self._expect(children, "'}'", text="}")
-        return self._node(CstKind.CODE_BLOCK, children)
+            self._statement()
+        self._expect("'}'", text="}")
+        self._close(CstKind.CODE_BLOCK)
 
-    def _statement(self) -> CstNode:
+    def _statement(self) -> None:
         tok = self._peek()
         if tok is None:
             self._fail("statement")
@@ -364,173 +361,166 @@ class _Parser:
     def _is_identifier(tok: CstNode | None) -> bool:
         return tok is not None and tok.kind is CstKind.IDENTIFIER
 
-    def _local_var_decl(self) -> CstNode:
-        children: list[CstNode] = []
-        self._sub(children, self._type_ref)
-        self._expect(children, "variable name", kind=CstKind.IDENTIFIER)
+    def _local_var_decl(self) -> None:
+        self._open()
+        self._type_ref()
+        self._expect("variable name", kind=CstKind.IDENTIFIER)
         if self._at("="):
-            self._expect(children, "'='", kind=CstKind.OPERATOR, text="=")
-            self._sub(children, self._expression)
-        self._expect(children, "';'", text=";")
-        return self._node(CstKind.LOCAL_VAR_DECL, children)
+            self._expect("'='", kind=CstKind.OPERATOR, text="=")
+            self._expression()
+        self._expect("';'", text=";")
+        self._close(CstKind.LOCAL_VAR_DECL)
 
-    def _if_stmt(self) -> CstNode:
-        children: list[CstNode] = []
-        self._expect(children, "'if'", kind=CstKind.KEYWORD, text="if")
-        self._expect(children, "'('", text="(")
-        self._sub(children, self._expression)
-        self._expect(children, "')'", text=")")
-        self._sub(children, self._statement)
-        if self._at("else"):
-            self._expect(children, "'else'", kind=CstKind.KEYWORD)
-            self._sub(children, self._statement)
-        return self._node(CstKind.IF_STMT, children)
+    def _if_stmt(self) -> None:
+        # An `else if` opens its IF_STMT inside the previous one; all of
+        # them close when the chain ends.
+        depth = 0
+        while True:
+            self._open()
+            depth += 1
+            self._expect("'if'", kind=CstKind.KEYWORD, text="if")
+            self._expect("'('", text="(")
+            self._expression()
+            self._expect("')'", text=")")
+            self._statement()
+            if not self._at("else"):
+                break
+            self._expect("'else'", kind=CstKind.KEYWORD)
+            if not self._at("if"):
+                self._statement()
+                break
+        for _ in range(depth):
+            self._close(CstKind.IF_STMT)
 
-    def _while_stmt(self) -> CstNode:
-        children: list[CstNode] = []
-        self._expect(children, "'while'", kind=CstKind.KEYWORD, text="while")
-        self._expect(children, "'('", text="(")
-        self._sub(children, self._expression)
-        self._expect(children, "')'", text=")")
-        self._sub(children, self._statement)
-        return self._node(CstKind.WHILE_STMT, children)
+    def _while_stmt(self) -> None:
+        self._open()
+        self._expect("'while'", kind=CstKind.KEYWORD, text="while")
+        self._expect("'('", text="(")
+        self._expression()
+        self._expect("')'", text=")")
+        self._statement()
+        self._close(CstKind.WHILE_STMT)
 
-    def _for_stmt(self) -> CstNode:
-        children: list[CstNode] = []
-        self._expect(children, "'for'", kind=CstKind.KEYWORD, text="for")
-        self._expect(children, "'('", text="(")
+    def _for_stmt(self) -> None:
+        self._open()
+        self._expect("'for'", kind=CstKind.KEYWORD, text="for")
+        self._expect("'('", text="(")
         tok = self._peek()
         if tok is None:
             self._fail("for initializer")
         if tok.text == ";":
-            self._expect(children, "';'", text=";")
+            self._expect("';'", text=";")
         elif ((tok.kind is CstKind.KEYWORD and tok.text in PRIMITIVE_TYPE_KEYWORDS)
               or (tok.kind is CstKind.IDENTIFIER and self._looks_like_decl())):
-            self._sub(children, self._local_var_decl)
+            self._local_var_decl()
         else:
-            self._sub(children, self._expr_stmt)
+            self._expr_stmt()
         if not self._at(";"):
-            self._sub(children, self._expression)
-        self._expect(children, "';'", text=";")
+            self._expression()
+        self._expect("';'", text=";")
         if not self._at(")"):
-            self._sub(children, self._expression)
-        self._expect(children, "')'", text=")")
-        self._sub(children, self._statement)
-        return self._node(CstKind.FOR_STMT, children)
+            self._expression()
+        self._expect("')'", text=")")
+        self._statement()
+        self._close(CstKind.FOR_STMT)
 
-    def _return_stmt(self) -> CstNode:
-        children: list[CstNode] = []
-        self._expect(children, "'return'", kind=CstKind.KEYWORD, text="return")
+    def _return_stmt(self) -> None:
+        self._open()
+        self._expect("'return'", kind=CstKind.KEYWORD, text="return")
         if not self._at(";"):
-            self._sub(children, self._expression)
-        self._expect(children, "';'", text=";")
-        return self._node(CstKind.RETURN_STMT, children)
+            self._expression()
+        self._expect("';'", text=";")
+        self._close(CstKind.RETURN_STMT)
 
-    def _expr_stmt(self) -> CstNode:
-        children: list[CstNode] = []
-        self._sub(children, self._expression)
-        self._expect(children, "';'", text=";")
-        return self._node(CstKind.EXPR_STMT, children)
+    def _expr_stmt(self) -> None:
+        self._open()
+        self._expression()
+        self._expect("';'", text=";")
+        self._close(CstKind.EXPR_STMT)
 
     # -- expressions ----------------------------------------------------------
 
-    def _expression(self) -> CstNode:
-        left = self._binary(0)
+    def _expression(self) -> None:
+        self._binary(0)
         if self._at("="):
-            children = [left]
-            self._expect(children, "'='", kind=CstKind.OPERATOR, text="=")
-            self._sub(children, self._expression)
-            return self._node(CstKind.ASSIGNMENT_EXPR, children)
-        return left
+            self._wrap()
+            self._expect("'='", kind=CstKind.OPERATOR, text="=")
+            self._expression()
+            self._close(CstKind.ASSIGNMENT_EXPR)
 
-    def _binary(self, min_precedence: int) -> CstNode:
+    def _binary(self, min_precedence: int) -> None:
         """An operand and the binary operators that follow it and bind at
         least as tight as `min_precedence`, grouped to the left."""
-        left = self._unary()
+        self._unary()
         while True:
             tok = self._peek()
             if tok is None or tok.kind is not CstKind.OPERATOR:
-                return left
+                return
             precedence = _BINARY_PRECEDENCE.get(tok.text)
             if precedence is None or precedence < min_precedence:
-                return left
-            children = [left]
-            self._advance(children)
-            self._flush_trivia(children)
-            children.append(self._binary(precedence + 1))
-            left = self._node(CstKind.BINARY_EXPR, children)
+                return
+            self._wrap()
+            self._advance()
+            self._binary(precedence + 1)
+            self._close(CstKind.BINARY_EXPR)
 
-    def _unary(self) -> CstNode:
+    def _unary(self) -> None:
+        """A prefix operator applied to a unary expression, or a primary
+        followed by its member, call and index suffixes."""
         tok = self._peek()
         if tok is not None and tok.kind is CstKind.OPERATOR and tok.text in ("-", "!"):
-            children: list[CstNode] = []
-            self._advance(children)
-            self._sub(children, self._unary)
-            return self._node(CstKind.UNARY_EXPR, children)
-        return self._postfix()
-
-    def _postfix(self) -> CstNode:
-        expr = self._primary()
+            self._open()
+            self._advance()
+            self._unary()
+            self._close(CstKind.UNARY_EXPR)
+            return
+        self._primary()
         while True:
             if self._at(".") and self._is_identifier(self._peek(1)):
                 is_call = self._peek_text(2) == "("
-                children = [expr]
-                self._expect(children, "'.'", text=".")
-                self._expect(children, "member name", kind=CstKind.IDENTIFIER)
+                self._wrap()
+                self._expect("'.'", text=".")
+                self._expect("member name", kind=CstKind.IDENTIFIER)
                 if is_call:
-                    self._sub(children, self._argument_list)
-                    expr = self._node(CstKind.METHOD_CALL, children)
+                    self._list(CstKind.ARGUMENT_LIST, self._expression)
+                    self._close(CstKind.METHOD_CALL)
                 else:
-                    expr = self._node(CstKind.REFERENCE_EXPR, children)
+                    self._close(CstKind.REFERENCE_EXPR)
             elif self._at("["):
-                children = [expr]
-                self._expect(children, "'['", text="[")
-                self._sub(children, self._expression)
-                self._expect(children, "']'", text="]")
-                expr = self._node(CstKind.ARRAY_ACCESS_EXPR, children)
+                self._wrap()
+                self._expect("'['", text="[")
+                self._expression()
+                self._expect("']'", text="]")
+                self._close(CstKind.ARRAY_ACCESS_EXPR)
             else:
-                return expr
+                return
 
-    def _primary(self) -> CstNode:
+    def _primary(self) -> None:
         tok = self._peek()
         if tok is None:
             self._fail("expression")
         if tok.kind is CstKind.LITERAL:
-            # Callers pre-flush trivia, so the literal token is next in the
-            # stream and becomes a bare leaf of the enclosing expression.
-            leaf = self.tokens[self.pos]
-            assert leaf.kind is CstKind.LITERAL
-            self.pos += 1
-            self._sig_pos += 1
-            return leaf
-        if tok.kind is CstKind.IDENTIFIER:
-            children = []
-            self._expect(children, "identifier", kind=CstKind.IDENTIFIER)
+            # a bare leaf of the enclosing expression
+            self._advance()
+        elif tok.kind is CstKind.IDENTIFIER:
+            self._open()
+            self._expect("identifier", kind=CstKind.IDENTIFIER)
             if self._at("("):
-                self._sub(children, self._argument_list)
-                return self._node(CstKind.METHOD_CALL, children)
-            return self._node(CstKind.REFERENCE_EXPR, children)
-        if tok.text == "(":
-            children = []
-            self._expect(children, "'('", text="(")
-            self._sub(children, self._expression)
-            self._expect(children, "')'", text=")")
-            return self._node(CstKind.PAREN_EXPR, children)
-        if tok.text == "new":
-            children = []
-            self._expect(children, "'new'", kind=CstKind.KEYWORD, text="new")
-            self._sub(children, self._type_ref)
-            self._sub(children, self._argument_list)
-            return self._node(CstKind.NEW_EXPR, children)
-        self._fail("expression")
-
-    def _argument_list(self) -> CstNode:
-        children: list[CstNode] = []
-        self._expect(children, "'('", text="(")
-        if not self._at(")"):
-            self._sub(children, self._expression)
-            while self._at(","):
-                self._expect(children, "','", text=",")
-                self._sub(children, self._expression)
-        self._expect(children, "')'", text=")")
-        return self._node(CstKind.ARGUMENT_LIST, children)
+                self._list(CstKind.ARGUMENT_LIST, self._expression)
+                self._close(CstKind.METHOD_CALL)
+            else:
+                self._close(CstKind.REFERENCE_EXPR)
+        elif tok.text == "(":
+            self._open()
+            self._expect("'('", text="(")
+            self._expression()
+            self._expect("')'", text=")")
+            self._close(CstKind.PAREN_EXPR)
+        elif tok.text == "new":
+            self._open()
+            self._expect("'new'", kind=CstKind.KEYWORD, text="new")
+            self._type_ref()
+            self._list(CstKind.ARGUMENT_LIST, self._expression)
+            self._close(CstKind.NEW_EXPR)
+        else:
+            self._fail("expression")

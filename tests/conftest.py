@@ -3,8 +3,8 @@
 import json
 from pathlib import Path
 
-from treemine import build_ast, default_ignore_list, parse_file
-from treemine.ast_builder import AstNode
+from treemine import IgnoreList, build_ast, parse_file
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES, AstNode
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
@@ -15,7 +15,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def build(source, ignore=None):
     """Source text straight to a simplified tree with default ignores."""
-    return build_ast(parse_file(source), ignore or default_ignore_list())
+    return build_ast(parse_file(source),
+                     ignore or IgnoreList.from_names(DEFAULT_IGNORE_NAMES))
+
+
+def cst_text(node):
+    """The source text a CST node covers: its leaf texts joined in order."""
+    return "".join(leaf.text for leaf in node.leaves())
 
 
 def find_all(tree, node_type):

@@ -8,13 +8,13 @@ import random
 import time
 from pathlib import Path
 
-from treemine import (MinerLimits, NO_TYPE, annotate_types, build_ast,
-                      default_ignore_list, enumerate_paths,
-                      extract_method_name, parse_file, run, split,
-                      split_subtokens, validate_config)
+from treemine import (IgnoreList, MinerLimits, NO_TYPE, annotate_types,
+                      build_ast, enumerate_paths, extract_method_name,
+                      parse_file, run, split, split_subtokens, validate_config)
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES
 
-from conftest import (CORPUS_DIR, GOLDEN_DIR, RECURSIVE_DIR, random_ast,
-                      write_files)
+from conftest import (CORPUS_DIR, GOLDEN_DIR, RECURSIVE_DIR, cst_text,
+                      random_ast, write_files)
 from oracle_paths import oracle_enumerate
 
 PACKAGE_ROOT = Path(__file__).parent.parent
@@ -44,7 +44,7 @@ def test_criterion_1_parser_losslessness():
         started = time.perf_counter()
         for path in fixtures:
             text = path.read_text(encoding="utf-8")
-            if parse_file(text, str(path)).reconstruct() != text:
+            if cst_text(parse_file(text, str(path))) != text:
                 problems.append(f"round trip failed: {path.name}")
         elapsed = time.perf_counter() - started
         if elapsed >= 5.0:
@@ -62,7 +62,7 @@ def test_criterion_2_ast_hygiene():
         banned = {"KEYWORD", "PUNCTUATION", "OPERATOR", "WHITE_SPACE"}
         for path in sorted(CORPUS_DIR.glob("*.java")):
             tree = build_ast(parse_file(path.read_text(encoding="utf-8")),
-                             default_ignore_list())
+                             IgnoreList.from_names(DEFAULT_IGNORE_NAMES))
             if tree.node_type != "FILE":
                 problems.append(f"{path.name}: root is {tree.node_type}")
             for node in tree.preorder():
@@ -182,8 +182,9 @@ def test_criterion_3_hand_annotated_types():
         problems = []
         total = 0
         for source, table in ANNOTATIONS:
-            tree = annotate_types(build_ast(parse_file(source),
-                                            default_ignore_list()))
+            tree = annotate_types(build_ast(
+                parse_file(source),
+                IgnoreList.from_names(DEFAULT_IGNORE_NAMES)))
             occurrences: dict[str, list] = {}
             for leaf in tree.leaves():
                 if leaf.node_type.split(":")[0] in ("IDENTIFIER", "LITERAL"):
@@ -263,7 +264,7 @@ def test_criterion_5_label_leak_freedom():
         for path in fixtures:
             tree = annotate_types(build_ast(
                 parse_file(path.read_text(encoding="utf-8"), str(path)),
-                default_ignore_list()))
+                IgnoreList.from_names(DEFAULT_IGNORE_NAMES)))
             for unit in split(tree, "method"):
                 sample = extract_method_name(unit)
                 label = sample.label

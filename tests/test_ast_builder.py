@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemine import (ConfigError, annotate_types, build_ast, count_nodes,
-                      default_ignore_list, parse_file)
+                      parse_file)
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList
 from treemine.cst import CST_KIND_NAMES
 
@@ -63,7 +63,7 @@ def test_root_must_be_a_file_tree():
     cst = parse_file("class A { }")
     class_cst = next(c for c in cst.children if not c.is_leaf())
     with pytest.raises(ValueError):
-        build_ast(class_cst, default_ignore_list())
+        build_ast(class_cst, IgnoreList.from_names(DEFAULT_IGNORE_NAMES))
 
 
 def test_default_ignore_names():
@@ -209,7 +209,7 @@ def test_ignored_internal_kind_is_spliced():
 
 
 def test_file_never_dropped():
-    ignore = IgnoreList(frozenset(default_ignore_list().node_kinds))
+    ignore = IgnoreList.from_names(DEFAULT_IGNORE_NAMES)
     tree = build_ast(parse_file("class A { }"), ignore)
     assert tree.node_type == "FILE"
 

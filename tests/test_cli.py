@@ -69,6 +69,15 @@ def test_missing_input_dir_is_config_error(tmp_path, capsys):
     assert "input_dir does not exist" in capsys.readouterr().err
 
 
+def test_ignore_list_hiding_method_names_exits_before_any_output(
+        tmp_path, capsys):
+    # labeling would fail on the first method, partway through the run
+    config_path = setup_run(tmp_path, ignore_node_kinds=["IDENTIFIER"])
+    assert main(["--config", str(config_path)]) == EXIT_CONFIG
+    assert "ignoring IDENTIFIER" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     in_dir = tmp_path / "in"
     write_files(in_dir, {"A.java": SOURCE})

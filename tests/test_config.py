@@ -177,6 +177,28 @@ def test_method_name_extractor_needs_method_granularity():
     assert any("requires" in p and "method" in p for p in problems)
 
 
+# Ignore lists under which a method's first IDENTIFIER leaf child is not its
+# name: none at all, a return type's name, or an annotation's name.
+@pytest.mark.parametrize("ignored, problem", [
+    (["IDENTIFIER"], "ignoring IDENTIFIER leaves a method no name leaf"),
+    (["TYPE_REF"], "ignoring TYPE_REF can label a method by its return type"),
+    (["MODIFIER_LIST", "ANNOTATION"], "ignoring MODIFIER_LIST and ANNOTATION "
+     "can label a method by its annotation"),
+], ids=["identifier", "type_ref", "modifier_list_and_annotation"])
+def test_method_name_extractor_rejects_ignore_lists_that_hide_the_name(
+        ignored, problem):
+    problems = problems_of(valid(ignore_node_kinds=["KEYWORD", *ignored]))
+    assert problems == ["label_extractor method_name: " + problem]
+    # without the extractor the same ignore list is valid
+    validate_config(valid(ignore_node_kinds=["KEYWORD", *ignored],
+                          label_extractor={"name": "none"}))
+
+
+@pytest.mark.parametrize("kind", ["MODIFIER_LIST", "ANNOTATION"])
+def test_method_name_extractor_accepts_either_modifier_kind_alone(kind):
+    assert validate_config(valid(ignore_node_kinds=["KEYWORD", kind]))
+
+
 def test_extractor_unknown_name():
     problems = problems_of(valid(label_extractor={"name": "tfidf"}))
     assert any("label_extractor.name must be one of none, method_name" in p

@@ -4,6 +4,8 @@ from treemine.cst import (COMMENT_KINDS, CST_KIND_NAMES, TOKEN_KINDS,
 from treemine.lexer import tokenize
 from treemine import parse_file
 
+from conftest import cst_text
+
 
 def test_lex_error_fields_and_message():
     err = LexError(3, 7, "unexpected character '#'")
@@ -63,7 +65,7 @@ def test_cst_leaves_iterate_in_source_order():
     root = parse_file(source)
     assert [l.text for l in root.leaves()] == [
         "class", " ", "A", " ", "{", " ", "int", " ", "x", ";", " ", "}"]
-    assert root.reconstruct() == source
+    assert cst_text(root) == source
 
 
 def test_only_token_kinds_are_leaves():

@@ -4,7 +4,9 @@ Trees can be thousands of levels deep (a long `+` chain is built in a loop),
 so each walk over them is a loop over an explicit stack. This test parses
 the package sources and fails on any function that calls its own name,
 bare (`walk(child)`) or as an attribute (`child.leaves()`). The parser
-itself recurses by design and is left out.
+recurses by design, but only in the grammar's self-recursive productions:
+any other function of the parser that calls itself, a new helper or
+`_if_stmt` for an `else if`, fails too.
 """
 
 import ast
@@ -16,6 +18,8 @@ import treemine
 
 PACKAGE = Path(treemine.__file__).parent
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "parser.py")
+# a nested expression is a nested call of these
+PARSER_RECURSION = ["_binary", "_expression", "_unary"]
 
 
 def self_calls(source):
@@ -56,3 +60,8 @@ def test_guard_sees_bare_and_attribute_self_calls():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_below_the_parser_recurses(path):
     assert self_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_parser_recurses_only_in_grammar_productions():
+    source = (PACKAGE / "parser.py").read_text(encoding="utf-8")
+    assert sorted(self_calls(source)) == PARSER_RECURSION

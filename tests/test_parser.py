@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treemine import CstKind, ParseError, parse_file, validate_config
+from treemine import CstKind, LexError, ParseError, parse_file, validate_config
 from treemine.cst import TRIVIA_KINDS
+from treemine.lexer import tokenize
 from treemine.pipeline import process_file
 
-from conftest import BAD_DIR, CORPUS_DIR, base_config
+from conftest import BAD_DIR, CORPUS_DIR, GOLDEN_DIR, base_config, cst_text
+from oracle_parser import parse_file as oracle_parse_file
 
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.java"))
 
@@ -33,7 +37,7 @@ def significant(node):
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.name)
 def test_corpus_round_trips(path):
     text = path.read_text(encoding="utf-8")
-    assert parse_file(text, str(path)).reconstruct() == text
+    assert cst_text(parse_file(text, str(path))) == text
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.name)
@@ -109,7 +113,7 @@ def test_trivia_kept_in_place():
     kinds = [leaf.kind for leaf in root.leaves()]
     assert CstKind.LINE_COMMENT in kinds
     assert CstKind.WHITE_SPACE in kinds
-    assert root.reconstruct() == source
+    assert cst_text(root) == source
 
 
 def test_modifiers_and_annotations():
@@ -151,7 +155,7 @@ def test_abstract_method_without_body():
 def test_generic_type_reconstruction():
     source = "class A { Map<String, List<Integer>> m; int[][] grid; }"
     root = parse_file(source)
-    type_texts = [n.reconstruct() for n in walk_cst(root)
+    type_texts = [cst_text(n) for n in walk_cst(root)
                   if n.kind is CstKind.TYPE_REF]
     assert "Map<String, List<Integer>>" in type_texts
     assert "int[][]" in type_texts
@@ -209,7 +213,7 @@ def test_binary_precedence_and_trivia_placement():
             "* g - h % /*4*/ i")
     source = "class A { void f() { x = " + expr + "; } }"
     root = parse_file(source)
-    assert root.reconstruct() == source
+    assert cst_text(root) == source
     assignment = next(n for n in walk_cst(root)
                       if n.kind is CstKind.ASSIGNMENT_EXPR)
 
@@ -274,7 +278,7 @@ def test_while_with_single_statement_body():
 def test_package_and_import_headers_kept_as_tokens():
     source = "package a.b;\nimport c.D;\nclass E { }\n"
     root = parse_file(source)
-    assert root.reconstruct() == source
+    assert cst_text(root) == source
     # header tokens sit directly under FILE, before the class node
     first_class = next(i for i, c in enumerate(root.children)
                        if c.kind is CstKind.CLASS_DECL)
@@ -367,13 +371,19 @@ SUM_2000 = "y = " + " + ".join(["x"] * 2000) + ";"
 CALL_CHAIN_500 = "y = x" + ".next()" * 500 + ";"
 
 
+def _else_if_chain(branches):
+    return " else ".join(f"if (x == {i}) {{ y = {i}; }}"
+                         for i in range(branches))
+
+
 @pytest.mark.parametrize("body", [
-    " else ".join(f"if (x == {i}) {{ y = {i}; }}" for i in range(300)),
+    _else_if_chain(300),
+    _else_if_chain(1000),
     CALL_CHAIN_500,
     SUM_2000,
     "y = x" + "[0]" * 2000 + ";",
-], ids=["else_if_chain_300", "call_chain_500", "binary_chain_2000",
-        "index_chain_2000"])
+], ids=["else_if_chain_300", "else_if_chain_1000", "call_chain_500",
+        "binary_chain_2000", "index_chain_2000"])
 def test_long_chains_do_not_escape(tmp_path, body):
     _assert_deep_method_is_kept(tmp_path, body)
 
@@ -386,12 +396,66 @@ def test_long_chain_under_tree_size_filter_does_not_escape(tmp_path):
 
 def test_long_chain_reconstructs_losslessly():
     source = _deep_method(SUM_2000)
-    assert parse_file(source).reconstruct() == source
+    assert cst_text(parse_file(source)) == source
 
 
 @pytest.mark.parametrize("path", sorted(BAD_DIR.glob("*.java")),
                          ids=lambda p: p.name)
 def test_bad_fixtures_raise(path):
-    from treemine import LexError
     with pytest.raises((LexError, ParseError)):
         parse_file(path.read_text(encoding="utf-8"), str(path))
+
+
+# -- agreement with the reference parser ------------------------------------
+
+# Small enough for the reference parser's recursion.
+REFERENCE_INPUTS = {
+    path.relative_to(GOLDEN_DIR.parent).as_posix():
+        path.read_text(encoding="utf-8")
+    for path in [*CORPUS_FILES, *sorted(BAD_DIR.glob("*.java")),
+                 *sorted((GOLDEN_DIR / "input").rglob("*.java"))]}
+
+
+def _token_texts(source):
+    try:
+        return [tok.text for tok in tokenize(source)]
+    except LexError:
+        return list(source)  # single characters stand in for tokens
+
+
+def _outcome(parse, source):
+    """Kind, text, span and child count of every node in preorder, or the
+    error's type, line, column and message."""
+    try:
+        root = parse(source)
+    except (LexError, ParseError) as exc:
+        return type(exc).__name__, exc.line, exc.column, str(exc)
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append((node.kind, node.text, node.span, len(node.children)))
+        stack.extend(reversed(node.children))
+    return nodes
+
+
+def _assert_matches_reference(source):
+    assert _outcome(parse_file, source) == _outcome(oracle_parse_file, source)
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_matches_reference_parser(name):
+    _assert_matches_reference(REFERENCE_INPUTS[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matches_reference_parser_on_truncations_and_deletions(data):
+    source = data.draw(st.sampled_from(list(REFERENCE_INPUTS.values())))
+    if data.draw(st.booleans()):
+        source = source[:data.draw(st.integers(0, len(source)))]
+    else:
+        tokens = _token_texts(source)
+        if tokens:
+            del tokens[data.draw(st.integers(0, len(tokens) - 1))]
+        source = "".join(tokens)
+    _assert_matches_reference(source)
