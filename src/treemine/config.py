@@ -1,8 +1,9 @@
 """Configuration loading and validation.
 
-The run is driven by one JSON file. Validation applies defaults, rejects
-unknown keys at every level, and reports every problem at once instead of
-stopping at the first.
+The run is driven by one JSON file. Validation rejects unknown keys at every
+level and reports every problem at once instead of stopping at the first.
+Defaults come from where they are defined, and one table rejects ignore lists
+that would silently defeat the label extractor or a filter.
 """
 
 import json
@@ -22,6 +23,29 @@ _TOP_KEYS = ("input_dir", "output_dir", "dataset_name", "source_extensions",
              "ignore_node_kinds", "granularity", "filters", "label_extractor",
              "miner", "storage", "parallelism")
 _EXTRACTOR_NAMES = ("none", "method_name")
+_EXTRACTOR_KEYS = ("name", "name_token", "recursion_token")
+# the parameters each filter takes; the others take none
+_FILTER_PARAMETERS = {"tree_size": ("max_nodes", "min_nodes"),
+                      "code_lines": ("max_lines",)}
+# each miner limit with its least value; None takes any integer
+_MINER_MINIMUMS = {"max_path_nodes": 1, "max_path_width": 0,
+                   "max_contexts": 1, "rng_seed": None}
+
+# (feature, ignored kinds, problem): ignoring all the kinds defeats the label
+# extractor or filter; method_name takes a method's first IDENTIFIER child
+_IGNORE_CONFLICTS = (
+    ("label_extractor method_name", {CstKind.IDENTIFIER},
+     "ignoring IDENTIFIER leaves a method no name leaf"),
+    ("label_extractor method_name", {CstKind.TYPE_REF},
+     "ignoring TYPE_REF can label a method by its return type"),
+    ("label_extractor method_name", {CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
+     "ignoring MODIFIER_LIST and ANNOTATION can label a method "
+     "by its annotation"),
+    ("filter override_method", {CstKind.ANNOTATION},
+     "ignoring ANNOTATION keeps every @Override method"),
+    ("filter abstract_method", {CstKind.CODE_BLOCK},
+     "ignoring CODE_BLOCK rejects every method as abstract"),
+)
 
 
 @dataclass(frozen=True)
@@ -66,9 +90,9 @@ def validate_config(raw) -> PipelineConfig:
     if unknown:
         problems.append("unknown configuration keys: " + ", ".join(unknown))
 
-    input_dir = _str_field(raw, "input_dir", None, problems, required=True)
-    output_dir = _str_field(raw, "output_dir", None, problems, required=True)
-    dataset_name = _str_field(raw, "dataset_name", "dataset", problems)
+    input_dir = _str_field(raw, "input_dir", problems)
+    output_dir = _str_field(raw, "output_dir", problems)
+    dataset_name = _str_field(raw, "dataset_name", problems, "dataset")
 
     extensions = raw.get("source_extensions", [".java"])
     if (not isinstance(extensions, list) or not extensions
@@ -98,31 +122,24 @@ def validate_config(raw) -> PipelineConfig:
         granularity = "file"
 
     filters = _validate_filters(raw.get("filters", []), problems)
-    extractor_name, name_token, recursion_token = _validate_extractor(
-        raw.get("label_extractor", {"name": "none"}), problems)
+    extractor = _validate_extractor(raw.get("label_extractor", {"name": "none"}),
+                                    problems)
     miner = _validate_miner(raw.get("miner", {}), problems)
     storage_format = _validate_storage(raw.get("storage"), problems)
 
     parallelism = raw.get("parallelism", 1)
-    if not _is_int(parallelism) or parallelism < 1:
+    if not _is_int(parallelism, 1):
         problems.append("parallelism must be a positive integer")
         parallelism = 1
 
-    if extractor_name == "method_name":
-        if granularity != "method":
-            problems.append("label_extractor method_name requires "
-                            "granularity \"method\"")
-        # the label is the first IDENTIFIER leaf among the method's children
-        for kinds, problem in (
-                ({CstKind.IDENTIFIER},
-                 "ignoring IDENTIFIER leaves a method no name leaf"),
-                ({CstKind.TYPE_REF},
-                 "ignoring TYPE_REF can label a method by its return type"),
-                ({CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
-                 "ignoring MODIFIER_LIST and ANNOTATION can label a method "
-                 "by its annotation")):
-            if kinds <= ignore.node_kinds:
-                problems.append("label_extractor method_name: " + problem)
+    if extractor["extractor_name"] == "method_name" and granularity != "method":
+        problems.append("label_extractor method_name requires "
+                        "granularity \"method\"")
+    features = {"label_extractor " + extractor["extractor_name"],
+                *("filter " + spec.name for spec in filters)}
+    problems.extend(f"{feature}: {problem}"
+                    for feature, kinds, problem in _IGNORE_CONFLICTS
+                    if feature in features and kinds <= ignore.node_kinds)
     method_only = [s.name for s in filters if s.name in METHOD_ONLY_FILTERS]
     if method_only and granularity != "method":
         problems.append("filters requiring method granularity: "
@@ -138,30 +155,39 @@ def validate_config(raw) -> PipelineConfig:
         ignore=ignore,
         granularity=granularity,
         filters=filters,
-        extractor_name=extractor_name,
-        name_token=name_token,
-        recursion_token=recursion_token,
+        **extractor,
         miner=miner,
         storage_format=storage_format,
         parallelism=parallelism,
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_int(value, minimum=None) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
 
 
-def _str_field(raw: dict, key: str, default, problems: list[str],
-               required: bool = False):
+def _object(value, where: str, keys, problems: list[str]) -> bool:
+    """True if `value` is an object; reports a non-object or unknown keys."""
+    if not isinstance(value, dict):
+        problems.append(f"{where} must be an object")
+        return False
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        problems.append(f"{where}: unknown keys: " + ", ".join(unknown))
+    return True
+
+
+def _str_field(raw: dict, key: str, problems: list[str], default=None):
+    """A nonempty string; a key without a default is required."""
     if key not in raw:
-        if required:
+        if default is None:
             problems.append(f"missing required key: {key}")
-        return default
-    value = raw[key]
-    if not isinstance(value, str) or not value:
+    elif isinstance(raw[key], str) and raw[key]:
+        return raw[key]
+    else:
         problems.append(f"{key} must be a nonempty string")
-        return default
-    return value
+    return default
 
 
 def _validate_filters(raw, problems: list[str]) -> tuple[FilterSpec, ...]:
@@ -171,12 +197,8 @@ def _validate_filters(raw, problems: list[str]) -> tuple[FilterSpec, ...]:
     specs = []
     for i, entry in enumerate(raw):
         where = f"filters[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where} must be an object")
+        if not _object(entry, where, ("name", "parameters"), problems):
             continue
-        unknown = sorted(set(entry) - {"name", "parameters"})
-        if unknown:
-            problems.append(f"{where}: unknown keys: " + ", ".join(unknown))
         name = entry.get("name")
         if name not in FILTER_NAMES:
             problems.append(f"{where}: name must be one of "
@@ -186,114 +208,68 @@ def _validate_filters(raw, problems: list[str]) -> tuple[FilterSpec, ...]:
         if not isinstance(params, dict):
             problems.append(f"{where}: parameters must be an object")
             continue
-        allowed = {"tree_size": {"max_nodes", "min_nodes"},
-                   "code_lines": {"max_lines"}}.get(name, set())
-        unknown = sorted(set(params) - allowed)
+        unknown = sorted(set(params) - set(_FILTER_PARAMETERS.get(name, ())))
         if unknown:
             problems.append(f"{where}: unknown parameters for {name}: "
                             + ", ".join(unknown))
             continue
-        spec = FilterSpec(name=name,
-                          max_nodes=params.get("max_nodes"),
-                          min_nodes=params.get("min_nodes"),
-                          max_lines=params.get("max_lines"))
-        ok = True
+        spec = FilterSpec(name, **params)
+        checked = len(problems)
         if name == "tree_size":
-            if not _is_positive(spec.max_nodes):
+            if not _is_int(spec.max_nodes, 1):
                 problems.append(f"{where}: tree_size needs positive max_nodes")
-                ok = False
-            if spec.min_nodes is not None and not _is_positive(spec.min_nodes):
+            if spec.min_nodes is not None and not _is_int(spec.min_nodes, 1):
                 problems.append(f"{where}: min_nodes must be positive")
-                ok = False
-            if (ok and spec.min_nodes is not None
+            if (len(problems) == checked and spec.min_nodes is not None
                     and spec.min_nodes > spec.max_nodes):
                 problems.append(f"{where}: min_nodes exceeds max_nodes")
-                ok = False
-        elif name == "code_lines":
-            if not _is_positive(spec.max_lines):
-                problems.append(f"{where}: code_lines needs positive max_lines")
-                ok = False
-        if ok:
+        elif name == "code_lines" and not _is_int(spec.max_lines, 1):
+            problems.append(f"{where}: code_lines needs positive max_lines")
+        if len(problems) == checked:
             specs.append(spec)
     return tuple(specs)
 
 
-def _is_positive(value) -> bool:
-    return _is_int(value) and value > 0
-
-
-def _validate_extractor(raw, problems: list[str]) -> tuple[str, str, str]:
-    name, name_token, recursion_token = \
-        "none", DEFAULT_NAME_TOKEN, DEFAULT_RECURSION_TOKEN
-    if not isinstance(raw, dict):
-        problems.append("label_extractor must be an object")
-        return name, name_token, recursion_token
-    unknown = sorted(set(raw) - {"name", "name_token", "recursion_token"})
-    if unknown:
-        problems.append("label_extractor: unknown keys: " + ", ".join(unknown))
-    candidate = raw.get("name")
-    if candidate not in _EXTRACTOR_NAMES:
+def _validate_extractor(raw, problems: list[str]) -> dict:
+    fields = {"extractor_name": "none", "name_token": DEFAULT_NAME_TOKEN,
+              "recursion_token": DEFAULT_RECURSION_TOKEN}
+    if not _object(raw, "label_extractor", _EXTRACTOR_KEYS, problems):
+        return fields
+    if raw.get("name") in _EXTRACTOR_NAMES:
+        fields["extractor_name"] = raw["name"]
+    else:
         problems.append("label_extractor.name must be one of "
                         + ", ".join(_EXTRACTOR_NAMES))
-    else:
-        name = candidate
     for key in ("name_token", "recursion_token"):
         if key not in raw:
             continue
-        if name != "method_name":
+        if fields["extractor_name"] != "method_name":
             problems.append(f"label_extractor.{key} only applies to "
                             "the method_name extractor")
         elif not isinstance(raw[key], str) or not raw[key]:
             problems.append(f"label_extractor.{key} must be a nonempty string")
-        elif key == "name_token":
-            name_token = raw[key]
         else:
-            recursion_token = raw[key]
-    return name, name_token, recursion_token
+            fields[key] = raw[key]
+    return fields
 
 
 def _validate_miner(raw, problems: list[str]) -> MinerLimits:
-    defaults = MinerLimits()
-    if not isinstance(raw, dict):
-        problems.append("miner must be an object")
-        return defaults
-    unknown = sorted(set(raw) - {"max_path_nodes", "max_path_width",
-                                 "max_contexts", "rng_seed"})
-    if unknown:
-        problems.append("miner: unknown keys: " + ", ".join(unknown))
-    values = {}
-    for key, minimum in (("max_path_nodes", 1), ("max_path_width", 0),
-                         ("max_contexts", 1)):
-        if key in raw:
-            if not _is_int(raw[key]) or raw[key] < minimum:
-                problems.append(f"miner.{key} must be an integer >= {minimum}")
-            else:
-                values[key] = raw[key]
-    if "rng_seed" in raw:
-        if not _is_int(raw["rng_seed"]):
-            problems.append("miner.rng_seed must be an integer")
-        else:
-            values["rng_seed"] = raw["rng_seed"]
-    return MinerLimits(
-        max_path_nodes=values.get("max_path_nodes", defaults.max_path_nodes),
-        max_path_width=values.get("max_path_width", defaults.max_path_width),
-        max_contexts=values.get("max_contexts", defaults.max_contexts),
-        rng_seed=values.get("rng_seed", defaults.rng_seed),
-    )
+    checked = {}
+    if _object(raw, "miner", _MINER_MINIMUMS, problems):
+        for key, minimum in _MINER_MINIMUMS.items():
+            if key in raw and _is_int(raw[key], minimum):
+                checked[key] = raw[key]
+            elif key in raw:
+                problems.append(f"miner.{key} must be an integer" + (
+                    "" if minimum is None else f" >= {minimum}"))
+    return MinerLimits(**checked)
 
 
 def _validate_storage(raw, problems: list[str]) -> str:
     if raw is None:
         problems.append("missing required key: storage")
-        return FORMATS[0]
-    if not isinstance(raw, dict):
-        problems.append("storage must be an object")
-        return FORMATS[0]
-    unknown = sorted(set(raw) - {"format"})
-    if unknown:
-        problems.append("storage: unknown keys: " + ", ".join(unknown))
-    fmt = raw.get("format")
-    if fmt not in FORMATS:
+    elif _object(raw, "storage", ("format",), problems):
+        if raw.get("format") in FORMATS:
+            return raw["format"]
         problems.append("storage.format must be one of " + ", ".join(FORMATS))
-        return FORMATS[0]
-    return fmt
+    return FORMATS[0]

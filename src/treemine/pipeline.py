@@ -9,7 +9,9 @@ byte-identical at any parallelism level.
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import TextIO
 
@@ -122,26 +124,23 @@ def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatis
     config.output_dir.mkdir(parents=True, exist_ok=True)
     storage_spec = config.storage_spec()
     stats = RunStatistics()
-    for split_name, split_root in discover_splits(config.input_dir):
-        out_path = storage_spec.output_path(split_name)
-        with open(out_path, "w", encoding="utf-8", newline="") as sink:
-            for _, files in discover_projects(split_root,
-                                              config.source_extensions):
-                for result in _process_project(files, split_root, config):
-                    _consume(result, stats, sink)
+    # one pool for the whole run; its map yields results in submission order,
+    # keeping output deterministic
+    with (ThreadPoolExecutor(max_workers=config.parallelism)
+          if config.parallelism > 1 else nullcontext()) as pool:
+        map_files = pool.map if pool else map
+        for split_name, split_root in discover_splits(config.input_dir):
+            out_path = storage_spec.output_path(split_name)
+            with open(out_path, "w", encoding="utf-8", newline="") as sink:
+                for _, files in discover_projects(split_root,
+                                                  config.source_extensions):
+                    relpaths = [p.relative_to(split_root).as_posix()
+                                for p in files]
+                    for result in map_files(process_file, files, relpaths,
+                                            repeat(config)):
+                        _consume(result, stats, sink)
     finalize(stats, summary_sink or sys.stdout, config.output_dir)
     return stats
-
-
-def _process_project(files: list[Path], split_root: Path,
-                     config: PipelineConfig) -> list[FileResult]:
-    jobs = [(path, path.relative_to(split_root).as_posix()) for path in files]
-    if config.parallelism > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as executor:
-            # map preserves submission order, keeping output deterministic
-            return list(executor.map(
-                lambda job: process_file(job[0], job[1], config), jobs))
-    return [process_file(path, rel, config) for path, rel in jobs]
 
 
 def _consume(result: FileResult, stats: RunStatistics, sink: TextIO) -> None:

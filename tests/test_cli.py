@@ -78,6 +78,18 @@ def test_ignore_list_hiding_method_names_exits_before_any_output(
     assert not (tmp_path / "out").exists()
 
 
+
+@pytest.mark.parametrize("name, kind", [
+    ("override_method", "ANNOTATION"), ("abstract_method", "CODE_BLOCK"),
+])
+def test_ignore_list_defeating_a_filter_exits_before_any_output(
+        tmp_path, capsys, name, kind):
+    config_path = setup_run(tmp_path, filters=[{"name": name}],
+                            ignore_node_kinds=["KEYWORD", kind])
+    assert main(["--config", str(config_path)]) == EXIT_CONFIG
+    assert f"filter {name}: ignoring {kind}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 def test_io_error_exit_code(tmp_path, capsys):
     in_dir = tmp_path / "in"
     write_files(in_dir, {"A.java": SOURCE})

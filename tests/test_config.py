@@ -199,6 +199,28 @@ def test_method_name_extractor_accepts_either_modifier_kind_alone(kind):
     assert validate_config(valid(ignore_node_kinds=["KEYWORD", kind]))
 
 
+# Ignore lists under which a filter cannot see what it looks for: with
+# ANNOTATION ignored no method carries @Override, and with CODE_BLOCK ignored
+# no method has a body, so every method looks abstract.
+@pytest.mark.parametrize("name, kind, problem", [
+    ("override_method", "ANNOTATION",
+     "filter override_method: ignoring ANNOTATION keeps every @Override "
+     "method"),
+    ("abstract_method", "CODE_BLOCK",
+     "filter abstract_method: ignoring CODE_BLOCK rejects every method "
+     "as abstract"),
+], ids=["override_annotation", "abstract_code_block"])
+def test_filters_reject_ignore_lists_that_defeat_them(name, kind, problem):
+    ignored = ["KEYWORD", "PUNCTUATION", "OPERATOR", kind]
+    problems = problems_of(valid(ignore_node_kinds=ignored,
+                                 filters=[{"name": name}]))
+    assert problems == [problem]
+    # the filter without the kind, and the kind without the filter, are valid
+    assert validate_config(valid(filters=[{"name": name}]))
+    assert validate_config(valid(ignore_node_kinds=ignored))
+    assert validate_config(valid(ignore_node_kinds=ignored,
+                                 filters=[{"name": "constructor"}]))
+
 def test_extractor_unknown_name():
     problems = problems_of(valid(label_extractor={"name": "tfidf"}))
     assert any("label_extractor.name must be one of none, method_name" in p
@@ -286,3 +308,154 @@ def test_load_config_valid_file(tmp_path):
     config = load_config(path)
     assert config.granularity == "method"
     assert config.extractor_name == "method_name"
+
+
+_FILTER_NAMES = ("tree_size, code_lines, abstract_method, override_method, "
+                 "constructor")
+_NO_STORAGE = {k: v for k, v in valid().items() if k != "storage"}
+
+
+# Complete problem lists, order included: validation reports every problem,
+# in the order of the keys it checks, then the cross-key conflicts.
+@pytest.mark.parametrize("cfg, expected", [
+    ({}, [
+        "missing required key: input_dir",
+        "missing required key: output_dir",
+        "granularity must be one of file, class, method",
+        "missing required key: storage",
+    ]),
+    (valid(filters=["x", 3, None], label_extractor=[], miner=3,
+           storage="code2seq"), [
+        "filters[0] must be an object",
+        "filters[1] must be an object",
+        "filters[2] must be an object",
+        "label_extractor must be an object",
+        "miner must be an object",
+        "storage must be an object",
+    ]),
+    (valid(filters={"name": "tree_size"}), ["filters must be a list"]),
+    (valid(label_extractor=None), ["label_extractor must be an object"]),
+    (valid(miner=None), ["miner must be an object"]),
+    (_NO_STORAGE, ["missing required key: storage"]),
+    (valid(storage=None), ["missing required key: storage"]),
+    (valid(storage={}), [
+        "storage.format must be one of code2seq, code2seq_typed, jsonl_trees",
+    ]),
+    (valid(fiters=[], zeta=1,
+           filters=[{"name": "tree_size", "extra": True,
+                     "parameters": {"max_nodes": 5, "maxnodes": 3}},
+                    {"name": "constructor", "parameters": {"x": 1}}],
+           label_extractor={"name": "method_name", "nme": "x"},
+           miner={"seed": 1, "bogus": 2},
+           storage={"format": "code2seq", "path": "x"}), [
+        "unknown configuration keys: fiters, zeta",
+        "filters[0]: unknown keys: extra",
+        "filters[0]: unknown parameters for tree_size: maxnodes",
+        "filters[1]: unknown parameters for constructor: x",
+        "label_extractor: unknown keys: nme",
+        "miner: unknown keys: bogus, seed",
+        "storage: unknown keys: path",
+    ]),
+    ({"input_dir": 4, "output_dir": "", "dataset_name": "",
+      "source_extensions": ["java"], "ignore_node_kinds": "KEYWORD",
+      "granularity": "token", "label_extractor": {"name": "none"},
+      "storage": {"format": "csv"}, "parallelism": 0}, [
+        "input_dir must be a nonempty string",
+        "output_dir must be a nonempty string",
+        "dataset_name must be a nonempty string",
+        "source_extensions must be a nonempty list of extensions "
+        "starting with '.'",
+        "ignore_node_kinds must be a list of node kind names",
+        "granularity must be one of file, class, method",
+        "storage.format must be one of code2seq, code2seq_typed, jsonl_trees",
+        "parallelism must be a positive integer",
+    ]),
+    (valid(ignore_node_kinds=["FILE", "NOISE", "KEYWORD", "BOGUS"]), [
+        "FILE cannot be ignored: it is the tree root",
+        "unknown node kinds in ignore list: BOGUS, NOISE",
+    ]),
+    (valid(filters=[
+        {"name": "bogus"},
+        {},
+        {"name": "tree_size", "parameters": []},
+        {"name": "tree_size"},
+        {"name": "tree_size", "parameters": {"max_nodes": 0, "min_nodes": 0}},
+        {"name": "tree_size", "parameters": {"max_nodes": 5, "min_nodes": 10}},
+        {"name": "tree_size", "parameters": {"max_nodes": True}},
+        {"name": "code_lines"},
+        {"name": "code_lines", "parameters": {"max_lines": -1}},
+        {"name": "code_lines", "parameters": {"max_nodes": 5}},
+        {"name": "abstract_method", "parameters": {"max_lines": 3}},
+    ]), [
+        "filters[0]: name must be one of " + _FILTER_NAMES,
+        "filters[1]: name must be one of " + _FILTER_NAMES,
+        "filters[2]: parameters must be an object",
+        "filters[3]: tree_size needs positive max_nodes",
+        "filters[4]: tree_size needs positive max_nodes",
+        "filters[4]: min_nodes must be positive",
+        "filters[5]: min_nodes exceeds max_nodes",
+        "filters[6]: tree_size needs positive max_nodes",
+        "filters[7]: code_lines needs positive max_lines",
+        "filters[8]: code_lines needs positive max_lines",
+        "filters[9]: unknown parameters for code_lines: max_nodes",
+        "filters[10]: unknown parameters for abstract_method: max_lines",
+    ]),
+    (valid(label_extractor={"name": "tfidf", "name_token": "X"}), [
+        "label_extractor.name must be one of none, method_name",
+        "label_extractor.name_token only applies to the method_name extractor",
+    ]),
+    (valid(granularity="file",
+           label_extractor={"name": "none", "name_token": "X",
+                            "recursion_token": ""}), [
+        "label_extractor.name_token only applies to the method_name extractor",
+        "label_extractor.recursion_token only applies to the method_name "
+        "extractor",
+    ]),
+    (valid(label_extractor={"name": "method_name", "name_token": "",
+                            "recursion_token": 5}), [
+        "label_extractor.name_token must be a nonempty string",
+        "label_extractor.recursion_token must be a nonempty string",
+    ]),
+    (valid(miner={"max_path_nodes": 0, "max_path_width": -1,
+                  "max_contexts": 1.5, "rng_seed": True}), [
+        "miner.max_path_nodes must be an integer >= 1",
+        "miner.max_path_width must be an integer >= 0",
+        "miner.max_contexts must be an integer >= 1",
+        "miner.rng_seed must be an integer",
+    ]),
+    (valid(parallelism="4"), ["parallelism must be a positive integer"]),
+    (valid(granularity="file", filters=[{"name": "override_method"},
+                                        {"name": "abstract_method"},
+                                        {"name": "override_method"}]), [
+        "label_extractor method_name requires granularity \"method\"",
+        "filters requiring method granularity: abstract_method, "
+        "override_method",
+    ]),
+    (valid(granularity="class",
+           ignore_node_kinds=["IDENTIFIER", "TYPE_REF", "MODIFIER_LIST",
+                              "ANNOTATION", "CODE_BLOCK"],
+           filters=[{"name": "override_method"},
+                    {"name": "abstract_method"}]), [
+        "label_extractor method_name requires granularity \"method\"",
+        "label_extractor method_name: ignoring IDENTIFIER leaves a method "
+        "no name leaf",
+        "label_extractor method_name: ignoring TYPE_REF can label a method "
+        "by its return type",
+        "label_extractor method_name: ignoring MODIFIER_LIST and ANNOTATION "
+        "can label a method by its annotation",
+        "filter override_method: ignoring ANNOTATION keeps every @Override "
+        "method",
+        "filter abstract_method: ignoring CODE_BLOCK rejects every method "
+        "as abstract",
+        "filters requiring method granularity: abstract_method, "
+        "override_method",
+    ]),
+], ids=["empty", "sections_not_objects", "filters_not_list",
+        "label_extractor_null", "miner_null", "storage_missing",
+        "storage_null", "storage_empty", "unknown_keys_everywhere",
+        "bad_top_values", "bad_ignore_kinds", "bad_filter_entries",
+        "bad_extractor_name", "extractor_tokens_under_none",
+        "extractor_tokens_under_method_name", "bad_miner_values",
+        "bad_parallelism", "method_only_on_file", "ignore_conflicts"])
+def test_complete_problem_lists(cfg, expected):
+    assert problems_of(cfg) == expected

@@ -1,4 +1,5 @@
-from treemine import FilterSpec, accept, count_nodes, split
+from treemine import FilterSpec, IgnoreList, accept, count_nodes, split
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES
 
 from conftest import build
 
@@ -78,3 +79,18 @@ def test_constructor_filter():
 def test_tree_size_works_at_any_granularity():
     tree = build(SMALL)
     assert accept(tree, tree.span, FilterSpec("tree_size", max_nodes=1000))
+
+
+def test_ignored_kinds_defeat_override_and_abstract_filters():
+    # why validate_config rejects these filters beside these ignored kinds
+    def methods(source, kind):
+        ignore = IgnoreList.from_names([*DEFAULT_IGNORE_NAMES, kind])
+        return split(build(source, ignore), "method")
+    marked, = methods("class A { @Override int f() { return 1; } }",
+                      "ANNOTATION")
+    assert accept(marked, marked.span, FilterSpec("override_method"))
+    units = methods("class A { int f() { return 1; } void g() { h(); } }",
+                    "CODE_BLOCK")
+    assert len(units) == 2
+    assert not any(accept(u, u.span, FilterSpec("abstract_method"))
+                   for u in units)

@@ -7,19 +7,30 @@ bare (`walk(child)`) or as an attribute (`child.leaves()`). The parser
 recurses by design, but only in the grammar's self-recursive productions:
 any other function of the parser that calls itself, a new helper or
 `_if_stmt` for an `else if`, fails too.
+
+Beside it sits a guard on node-type names: a misspelt node type in a string
+literal never matches and fails silently, so every all-caps string literal
+in the package must name a CST kind or one of the few sentinel tokens.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import treemine
+from treemine.cst import CST_KIND_NAMES
 
 PACKAGE = Path(treemine.__file__).parent
-SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "parser.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = [p for p in MODULES if p.name != "parser.py"]
 # a nested expression is a nested call of these
 PARSER_RECURSION = ["_binary", "_expression", "_unary"]
+# the lexer's all-caps literals are regex group names, cst.py defines the kinds
+NAMING_SOURCES = [p for p in MODULES if p.name not in ("lexer.py", "cst.py")]
+# tokens the pipeline writes in place of a type, a label, a name or a call
+SENTINELS = {"NO_TYPE", "NO_LABEL", "METHOD_NAME", "SELF"}
 
 
 def self_calls(source):
@@ -65,3 +76,23 @@ def test_no_function_below_the_parser_recurses(path):
 def test_parser_recurses_only_in_grammar_productions():
     source = (PACKAGE / "parser.py").read_text(encoding="utf-8")
     assert sorted(self_calls(source)) == PARSER_RECURSION
+
+
+def unknown_caps_literals(source):
+    """All-caps string literals in `source` naming no CST kind or sentinel."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"[A-Z][A-Z0-9_]*", node.value)
+            and node.value not in CST_KIND_NAMES | SENTINELS]
+
+
+def test_guard_sees_a_misspelt_node_type():
+    source = ("def f(node):\n"
+              "    return node.node_type in ('CODEBLOCK', 'CODE_BLOCK')\n"
+              "NAME = 'METHOD_NAME'\nTEXT = 'Override'\n")
+    assert unknown_caps_literals(source) == ["CODEBLOCK"]
+
+
+@pytest.mark.parametrize("path", NAMING_SOURCES, ids=lambda p: p.name)
+def test_node_type_literals_name_real_kinds(path):
+    assert unknown_caps_literals(path.read_text(encoding="utf-8")) == []
