@@ -43,6 +43,8 @@ _IGNORE_CONFLICTS = (
      "by its annotation"),
     ("filter override_method", {CstKind.ANNOTATION},
      "ignoring ANNOTATION keeps every @Override method"),
+    ("filter override_method", {CstKind.IDENTIFIER},
+     "ignoring IDENTIFIER keeps every @Override method"),
     ("filter abstract_method", {CstKind.CODE_BLOCK},
      "ignoring CODE_BLOCK rejects every method as abstract"),
 )

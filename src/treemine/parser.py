@@ -5,17 +5,25 @@ comments, becomes a leaf. As with IntelliJ's PsiBuilder, productions pass no
 child lists; they drive one stack of open nodes. `_open()` starts a node,
 `_wrap()` starts one around the node just completed (a left operand or a
 receiver), and `_close(kind)` ends the innermost node and appends it to its
-parent. Tokens are consumed only by `_advance`. Trivia stays with the
-enclosing node: `_open` and `_advance` first move pending whitespace and
-comments into the innermost open node. An `else if` chain is parsed in a
-loop, each IF_STMT open inside the previous one until the chain ends.
+parent. Tokens are consumed only by `_advance`, directly where the caller
+has just checked the token, or through `_expect(text)` and `_name(what)`
+where it may be missing. Trivia stays with the enclosing node: `_open` and
+`_advance` first move pending whitespace and comments into the innermost
+open node.
+
+Every chain is a loop that keeps its nodes open until the chain ends: an
+`else if` opens its IF_STMT inside the previous one, prefix operators open
+UNARY_EXPRs, and binary operators and `=` wrap the operand before them. No
+function calls itself; only nesting (a block in a block, an expression in
+parentheses, an index or an argument list) deepens Python's stack, and past
+MAX_NESTING open statements and expressions the parse fails with a
+ParseError instead of reaching the recursion limit.
 
 Parsing is single-pass. The parser keeps an index of the significant
 (non-trivia) tokens, so a lookahead of k tokens is one list lookup; it looks
 one token ahead, plus a bounded scan to tell constructors from methods and
-declarations from expression statements. Binary operators are parsed by
-precedence climbing. Token columns, needed only for error messages, are
-worked out when an error is raised.
+declarations from expression statements. Token columns, needed only for
+error messages, are worked out when an error is raised.
 """
 
 from .cst import CstKind, CstNode, SourceSpan, TRIVIA_KINDS
@@ -34,6 +42,12 @@ _BINARY_PRECEDENCE = {
     "+": 4, "-": 4,
     "*": 5, "/": 5, "%": 5,
 }
+
+# How many `_statement` and `_expression` calls may be open at once. Each
+# level of nesting costs at most four Python frames (a call argument:
+# `_expression`, `_unary`, `_primary`, `_list`), so the limit keeps the parser
+# about 800 frames deep, under the default recursion limit of 1000.
+MAX_NESTING = 200
 
 
 def parse_file(source: str, path: str = "<memory>") -> CstNode:
@@ -63,6 +77,7 @@ class _Parser:
         # The children of each open node, innermost last. The bottom list
         # receives the FILE node, which is open from the first token on.
         self._stack: list[list[CstNode]] = [[], []]
+        self._depth = 0  # open `_statement` and `_expression` calls
 
     # -- token stream and node stack ------------------------------------------
 
@@ -92,16 +107,21 @@ class _Parser:
         self._stack[-1].append(tok)
         return tok
 
-    def _expect(self, expected: str, kind: CstKind | None = None,
-                text: str | None = None) -> CstNode:
-        tok = self._peek()
-        if tok is None:
-            self._fail(expected)
-        if kind is not None and tok.kind is not kind:
-            self._fail(expected)
-        if text is not None and tok.text != text:
-            self._fail(expected)
+    def _expect(self, text: str) -> None:
+        if not self._at(text):
+            self._fail(f"'{text}'")
+        self._advance()
+
+    def _name(self, what: str) -> CstNode:
+        if not self._is_identifier(self._peek()):
+            self._fail(what)
         return self._advance()
+
+    def _nest(self) -> None:
+        # the caller lowers `_depth` again when it returns
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            self._fail(f"at most {MAX_NESTING} levels of nesting")
 
     def _open(self) -> None:
         self._flush_trivia()
@@ -158,7 +178,7 @@ class _Parser:
                     if self._peek() is None:
                         self._fail("';'")
                     self._advance()
-                self._expect("';'", text=";")
+                self._advance()
             else:
                 self._fail("class declaration")
         self._flush_trivia()
@@ -168,18 +188,18 @@ class _Parser:
     def _class_decl(self) -> None:
         self._open()
         self._modifier_list(allow_annotations=False)
-        self._expect("'class'", kind=CstKind.KEYWORD, text="class")
-        name = self._expect("class name", kind=CstKind.IDENTIFIER).text
+        self._expect("class")
+        name = self._name("class name").text
         if self._at("extends"):
-            self._expect("'extends'", kind=CstKind.KEYWORD)
+            self._advance()
             self._type_ref()
         if self._at("implements"):
-            self._expect("'implements'", kind=CstKind.KEYWORD)
+            self._advance()
             self._type_ref()
             while self._at(","):
-                self._expect("','", text=",")
+                self._advance()
                 self._type_ref()
-        self._expect("'{'", text="{")
+        self._expect("{")
         while True:
             tok = self._peek()
             if tok is None:
@@ -187,7 +207,7 @@ class _Parser:
             if tok.text == "}":
                 break
             self._member(name)
-        self._expect("'}'", text="}")
+        self._advance()
         self._close(CstKind.CLASS_DECL)
 
     def _modifier_list(self, allow_annotations: bool) -> None:
@@ -202,8 +222,8 @@ class _Parser:
                 self._close(CstKind.MODIFIER)
             elif allow_annotations and tok.text == "@":
                 self._open()
-                self._expect("'@'", text="@")
-                self._expect("annotation name", kind=CstKind.IDENTIFIER)
+                self._advance()
+                self._name("annotation name")
                 self._close(CstKind.ANNOTATION)
             else:
                 break
@@ -217,26 +237,28 @@ class _Parser:
         if (first is not None and first.kind is CstKind.IDENTIFIER
                 and first.text == class_name
                 and second is not None and second.text == "("):
-            self._expect("constructor name", kind=CstKind.IDENTIFIER)
+            self._advance()
             self._list(CstKind.PARAMETER_LIST, self._parameter)
             self._code_block()
             self._close(CstKind.CONSTRUCTOR_DECL)
             return
 
         self._type_ref()
-        self._expect("identifier", kind=CstKind.IDENTIFIER)
+        self._name("identifier")
         if self._at("("):
             self._list(CstKind.PARAMETER_LIST, self._parameter)
             if self._at("{"):
                 self._code_block()
+            elif self._at(";"):
+                self._advance()
             else:
-                self._expect("method body or ';'", text=";")
+                self._fail("method body or ';'")
             self._close(CstKind.METHOD_DECL)
             return
         if self._at("="):
-            self._expect("'='", kind=CstKind.OPERATOR, text="=")
+            self._advance()
             self._expression()
-        self._expect("';'", text=";")
+        self._expect(";")
         self._close(CstKind.FIELD_DECL)
 
     def _type_ref(self) -> None:
@@ -249,12 +271,12 @@ class _Parser:
         elif tok.kind is CstKind.IDENTIFIER:
             self._advance()
             while self._at(".") and self._is_identifier(self._peek(1)):
-                self._expect("'.'", text=".")
-                self._expect("type name", kind=CstKind.IDENTIFIER)
+                self._advance()
+                self._advance()
         else:
             self._fail("type")
         if self._at("<"):
-            self._expect("'<'", kind=CstKind.OPERATOR, text="<")
+            self._advance()
             depth = 1
             while depth > 0:
                 inner = self._peek()
@@ -266,33 +288,33 @@ class _Parser:
                     depth -= 1
                 self._advance()
         while self._at("[") and self._peek_text(1) == "]":
-            self._expect("'['", text="[")
-            self._expect("']'", text="]")
+            self._advance()
+            self._advance()
         self._close(CstKind.TYPE_REF)
 
     def _list(self, kind: CstKind, item) -> None:
         """'(' (item (',' item)*)? ')': a parameter or an argument list."""
         self._open()
-        self._expect("'('", text="(")
+        self._expect("(")
         if not self._at(")"):
             item()
             while self._at(","):
-                self._expect("','", text=",")
+                self._advance()
                 item()
-        self._expect("')'", text=")")
+        self._expect(")")
         self._close(kind)
 
     def _parameter(self) -> None:
         self._open()
         self._type_ref()
-        self._expect("parameter name", kind=CstKind.IDENTIFIER)
+        self._name("parameter name")
         self._close(CstKind.PARAMETER)
 
     # -- statements -----------------------------------------------------------
 
     def _code_block(self) -> None:
         self._open()
-        self._expect("'{'", text="{")
+        self._expect("{")
         while True:
             tok = self._peek()
             if tok is None:
@@ -300,40 +322,42 @@ class _Parser:
             if tok.text == "}":
                 break
             self._statement()
-        self._expect("'}'", text="}")
+        self._advance()
         self._close(CstKind.CODE_BLOCK)
 
     def _statement(self) -> None:
+        self._nest()
         tok = self._peek()
         if tok is None:
             self._fail("statement")
-        if tok.kind is CstKind.KEYWORD:
-            if tok.text == "if":
-                return self._if_stmt()
-            if tok.text == "while":
-                return self._while_stmt()
-            if tok.text == "for":
-                return self._for_stmt()
-            if tok.text == "return":
-                return self._return_stmt()
-            if tok.text in PRIMITIVE_TYPE_KEYWORDS:
-                return self._local_var_decl()
-            if tok.text == "new":
-                return self._expr_stmt()
+        keyword = tok.text if tok.kind is CstKind.KEYWORD else None
+        if keyword == "if":
+            self._if_stmt()
+        elif keyword == "while":
+            self._while_stmt()
+        elif keyword == "for":
+            self._for_stmt()
+        elif keyword == "return":
+            self._return_stmt()
+        elif self._looks_like_decl():
+            self._local_var_decl()
+        elif tok.text == "{":
+            self._code_block()
+        elif keyword is None or keyword == "new":
+            self._expr_stmt()
+        else:
             self._fail("statement")
-        if tok.text == "{":
-            return self._code_block()
-        if tok.kind is CstKind.IDENTIFIER and self._looks_like_decl():
-            return self._local_var_decl()
-        return self._expr_stmt()
+        self._depth -= 1
 
     def _looks_like_decl(self) -> bool:
-        # IDENT ('.' IDENT)* ('<' balanced '>')? ('[' ']')* IDENT marks the
-        # statement as a local variable declaration.
-        j = 0
-        if not self._is_identifier(self._peek(j)):
+        # A primitive type keyword, or IDENT ('.' IDENT)* ('<' balanced '>')?
+        # ('[' ']')* IDENT, marks a local variable declaration.
+        first = self._peek()  # callers have checked that there is one
+        if first.kind is CstKind.KEYWORD:
+            return first.text in PRIMITIVE_TYPE_KEYWORDS
+        if first.kind is not CstKind.IDENTIFIER:
             return False
-        j += 1
+        j = 1
         while self._peek_text(j) == "." and self._is_identifier(self._peek(j + 1)):
             j += 2
         if self._peek_text(j) == "<":
@@ -364,11 +388,11 @@ class _Parser:
     def _local_var_decl(self) -> None:
         self._open()
         self._type_ref()
-        self._expect("variable name", kind=CstKind.IDENTIFIER)
+        self._name("variable name")
         if self._at("="):
-            self._expect("'='", kind=CstKind.OPERATOR, text="=")
+            self._advance()
             self._expression()
-        self._expect("';'", text=";")
+        self._expect(";")
         self._close(CstKind.LOCAL_VAR_DECL)
 
     def _if_stmt(self) -> None:
@@ -378,14 +402,14 @@ class _Parser:
         while True:
             self._open()
             depth += 1
-            self._expect("'if'", kind=CstKind.KEYWORD, text="if")
-            self._expect("'('", text="(")
+            self._advance()
+            self._expect("(")
             self._expression()
-            self._expect("')'", text=")")
+            self._expect(")")
             self._statement()
             if not self._at("else"):
                 break
-            self._expect("'else'", kind=CstKind.KEYWORD)
+            self._advance()
             if not self._at("if"):
                 self._statement()
                 break
@@ -394,93 +418,93 @@ class _Parser:
 
     def _while_stmt(self) -> None:
         self._open()
-        self._expect("'while'", kind=CstKind.KEYWORD, text="while")
-        self._expect("'('", text="(")
+        self._advance()
+        self._expect("(")
         self._expression()
-        self._expect("')'", text=")")
+        self._expect(")")
         self._statement()
         self._close(CstKind.WHILE_STMT)
 
     def _for_stmt(self) -> None:
         self._open()
-        self._expect("'for'", kind=CstKind.KEYWORD, text="for")
-        self._expect("'('", text="(")
+        self._advance()
+        self._expect("(")
         tok = self._peek()
         if tok is None:
             self._fail("for initializer")
         if tok.text == ";":
-            self._expect("';'", text=";")
-        elif ((tok.kind is CstKind.KEYWORD and tok.text in PRIMITIVE_TYPE_KEYWORDS)
-              or (tok.kind is CstKind.IDENTIFIER and self._looks_like_decl())):
+            self._advance()
+        elif self._looks_like_decl():
             self._local_var_decl()
         else:
             self._expr_stmt()
         if not self._at(";"):
             self._expression()
-        self._expect("';'", text=";")
+        self._expect(";")
         if not self._at(")"):
             self._expression()
-        self._expect("')'", text=")")
+        self._expect(")")
         self._statement()
         self._close(CstKind.FOR_STMT)
 
     def _return_stmt(self) -> None:
         self._open()
-        self._expect("'return'", kind=CstKind.KEYWORD, text="return")
+        self._advance()
         if not self._at(";"):
             self._expression()
-        self._expect("';'", text=";")
+        self._expect(";")
         self._close(CstKind.RETURN_STMT)
 
     def _expr_stmt(self) -> None:
         self._open()
         self._expression()
-        self._expect("';'", text=";")
+        self._expect(";")
         self._close(CstKind.EXPR_STMT)
 
     # -- expressions ----------------------------------------------------------
 
     def _expression(self) -> None:
-        self._binary(0)
-        if self._at("="):
-            self._wrap()
-            self._expect("'='", kind=CstKind.OPERATOR, text="=")
-            self._expression()
-            self._close(CstKind.ASSIGNMENT_EXPR)
-
-    def _binary(self, min_precedence: int) -> None:
-        """An operand and the binary operators that follow it and bind at
-        least as tight as `min_precedence`, grouped to the left."""
-        self._unary()
+        """Operands joined by binary operators, grouped to the left, and by
+        `=`, grouped to the right. A binary operator first closes the open
+        BINARY_EXPRs that bind at least as tight; `=` closes them all, and
+        its ASSIGNMENT_EXPRs close when the whole chain ends."""
+        self._nest()
+        binaries: list[int] = []
+        assignments = 0
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind is not CstKind.OPERATOR:
-                return
-            precedence = _BINARY_PRECEDENCE.get(tok.text)
-            if precedence is None or precedence < min_precedence:
-                return
+            self._unary()
+            text = self._peek_text()
+            precedence = _BINARY_PRECEDENCE.get(text, -1)
+            while binaries and binaries[-1] >= precedence:
+                binaries.pop()
+                self._close(CstKind.BINARY_EXPR)
+            if precedence >= 0:
+                binaries.append(precedence)
+            elif text == "=":
+                assignments += 1
+            else:
+                break
             self._wrap()
             self._advance()
-            self._binary(precedence + 1)
-            self._close(CstKind.BINARY_EXPR)
+        for _ in range(assignments):
+            self._close(CstKind.ASSIGNMENT_EXPR)
+        self._depth -= 1
 
     def _unary(self) -> None:
-        """A prefix operator applied to a unary expression, or a primary
-        followed by its member, call and index suffixes."""
-        tok = self._peek()
-        if tok is not None and tok.kind is CstKind.OPERATOR and tok.text in ("-", "!"):
+        """Prefix operators, then a primary with its member, call and index
+        suffixes; the suffixes bind tighter than the prefixes."""
+        prefixes = 0
+        while self._peek_text() in ("-", "!"):
             self._open()
             self._advance()
-            self._unary()
-            self._close(CstKind.UNARY_EXPR)
-            return
+            prefixes += 1
         self._primary()
         while True:
             if self._at(".") and self._is_identifier(self._peek(1)):
                 is_call = self._peek_text(2) == "("
                 self._wrap()
-                self._expect("'.'", text=".")
-                self._expect("member name", kind=CstKind.IDENTIFIER)
+                self._advance()
+                self._advance()
                 if is_call:
                     self._list(CstKind.ARGUMENT_LIST, self._expression)
                     self._close(CstKind.METHOD_CALL)
@@ -488,12 +512,14 @@ class _Parser:
                     self._close(CstKind.REFERENCE_EXPR)
             elif self._at("["):
                 self._wrap()
-                self._expect("'['", text="[")
+                self._advance()
                 self._expression()
-                self._expect("']'", text="]")
+                self._expect("]")
                 self._close(CstKind.ARRAY_ACCESS_EXPR)
             else:
-                return
+                break
+        for _ in range(prefixes):
+            self._close(CstKind.UNARY_EXPR)
 
     def _primary(self) -> None:
         tok = self._peek()
@@ -504,7 +530,7 @@ class _Parser:
             self._advance()
         elif tok.kind is CstKind.IDENTIFIER:
             self._open()
-            self._expect("identifier", kind=CstKind.IDENTIFIER)
+            self._advance()
             if self._at("("):
                 self._list(CstKind.ARGUMENT_LIST, self._expression)
                 self._close(CstKind.METHOD_CALL)
@@ -512,13 +538,13 @@ class _Parser:
                 self._close(CstKind.REFERENCE_EXPR)
         elif tok.text == "(":
             self._open()
-            self._expect("'('", text="(")
+            self._advance()
             self._expression()
-            self._expect("')'", text=")")
+            self._expect(")")
             self._close(CstKind.PAREN_EXPR)
         elif tok.text == "new":
             self._open()
-            self._expect("'new'", kind=CstKind.KEYWORD, text="new")
+            self._advance()
             self._type_ref()
             self._list(CstKind.ARGUMENT_LIST, self._expression)
             self._close(CstKind.NEW_EXPR)

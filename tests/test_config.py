@@ -200,26 +200,35 @@ def test_method_name_extractor_accepts_either_modifier_kind_alone(kind):
 
 
 # Ignore lists under which a filter cannot see what it looks for: with
-# ANNOTATION ignored no method carries @Override, and with CODE_BLOCK ignored
-# no method has a body, so every method looks abstract.
-@pytest.mark.parametrize("name, kind, problem", [
-    ("override_method", "ANNOTATION",
+# ANNOTATION or IDENTIFIER ignored no method carries @Override, and with
+# CODE_BLOCK ignored no method has a body, so every method looks abstract.
+# The method_name extractor rejects IDENTIFIER itself, so that case runs
+# with the none extractor.
+@pytest.mark.parametrize("name, kind, extractor, problem", [
+    ("override_method", "ANNOTATION", "method_name",
      "filter override_method: ignoring ANNOTATION keeps every @Override "
      "method"),
-    ("abstract_method", "CODE_BLOCK",
+    ("override_method", "IDENTIFIER", "none",
+     "filter override_method: ignoring IDENTIFIER keeps every @Override "
+     "method"),
+    ("abstract_method", "CODE_BLOCK", "method_name",
      "filter abstract_method: ignoring CODE_BLOCK rejects every method "
      "as abstract"),
-], ids=["override_annotation", "abstract_code_block"])
-def test_filters_reject_ignore_lists_that_defeat_them(name, kind, problem):
+], ids=["override_annotation", "override_identifier", "abstract_code_block"])
+def test_filters_reject_ignore_lists_that_defeat_them(name, kind, extractor,
+                                                      problem):
+    def config(**overrides):
+        return valid(label_extractor={"name": extractor}, **overrides)
+
     ignored = ["KEYWORD", "PUNCTUATION", "OPERATOR", kind]
-    problems = problems_of(valid(ignore_node_kinds=ignored,
-                                 filters=[{"name": name}]))
+    problems = problems_of(config(ignore_node_kinds=ignored,
+                                  filters=[{"name": name}]))
     assert problems == [problem]
     # the filter without the kind, and the kind without the filter, are valid
-    assert validate_config(valid(filters=[{"name": name}]))
-    assert validate_config(valid(ignore_node_kinds=ignored))
-    assert validate_config(valid(ignore_node_kinds=ignored,
-                                 filters=[{"name": "constructor"}]))
+    assert validate_config(config(filters=[{"name": name}]))
+    assert validate_config(config(ignore_node_kinds=ignored))
+    assert validate_config(config(ignore_node_kinds=ignored,
+                                  filters=[{"name": "constructor"}]))
 
 def test_extractor_unknown_name():
     problems = problems_of(valid(label_extractor={"name": "tfidf"}))
@@ -444,6 +453,8 @@ _NO_STORAGE = {k: v for k, v in valid().items() if k != "storage"}
         "label_extractor method_name: ignoring MODIFIER_LIST and ANNOTATION "
         "can label a method by its annotation",
         "filter override_method: ignoring ANNOTATION keeps every @Override "
+        "method",
+        "filter override_method: ignoring IDENTIFIER keeps every @Override "
         "method",
         "filter abstract_method: ignoring CODE_BLOCK rejects every method "
         "as abstract",

@@ -1,12 +1,12 @@
-"""Static guard: no tree walk below the parser recurses.
+"""Static guard: no function in the package recurses.
 
 Trees can be thousands of levels deep (a long `+` chain is built in a loop),
-so each walk over them is a loop over an explicit stack. This test parses
-the package sources and fails on any function that calls its own name,
-bare (`walk(child)`) or as an attribute (`child.leaves()`). The parser
-recurses by design, but only in the grammar's self-recursive productions:
-any other function of the parser that calls itself, a new helper or
-`_if_stmt` for an `else if`, fails too.
+so each walk over them is a loop over an explicit stack, and the parser
+reads every chain (`else if`, prefix operators, binary operators, `=`) in a
+loop too. This test parses the package sources, the parser included, and
+fails on any function that calls its own name, bare (`walk(child)`) or as an
+attribute (`child.leaves()`). Nesting still goes through mutually recursive
+productions, which the parser bounds with its own counter.
 
 Beside it sits a guard on node-type names: a misspelt node type in a string
 literal never matches and fails silently, so every all-caps string literal
@@ -25,8 +25,6 @@ from treemine.cst import CST_KIND_NAMES
 PACKAGE = Path(treemine.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 SOURCES = [p for p in MODULES if p.name != "parser.py"]
-# a nested expression is a nested call of these
-PARSER_RECURSION = ["_binary", "_expression", "_unary"]
 # the lexer's all-caps literals are regex group names, cst.py defines the kinds
 NAMING_SOURCES = [p for p in MODULES if p.name not in ("lexer.py", "cst.py")]
 # tokens the pipeline writes in place of a type, a label, a name or a call
@@ -73,9 +71,9 @@ def test_no_function_below_the_parser_recurses(path):
     assert self_calls(path.read_text(encoding="utf-8")) == []
 
 
-def test_parser_recurses_only_in_grammar_productions():
+def test_parser_does_not_recurse():
     source = (PACKAGE / "parser.py").read_text(encoding="utf-8")
-    assert sorted(self_calls(source)) == PARSER_RECURSION
+    assert self_calls(source) == []
 
 
 def unknown_caps_literals(source):

@@ -1,10 +1,14 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemine import CstKind, LexError, ParseError, parse_file, validate_config
+from treemine import (CstKind, LexError, ParseError, parse_file, run,
+                      validate_config)
 from treemine.cst import TRIVIA_KINDS
 from treemine.lexer import tokenize
+from treemine.parser import MAX_NESTING
 from treemine.pipeline import process_file
 
 from conftest import BAD_DIR, CORPUS_DIR, GOLDEN_DIR, base_config, cst_text
@@ -382,10 +386,70 @@ def _else_if_chain(branches):
     CALL_CHAIN_500,
     SUM_2000,
     "y = x" + "[0]" * 2000 + ";",
+    "y = " + "-" * 3000 + "x;",
+    "y = " * 2000 + "x;",
 ], ids=["else_if_chain_300", "else_if_chain_1000", "call_chain_500",
-        "binary_chain_2000", "index_chain_2000"])
+        "binary_chain_2000", "index_chain_2000", "unary_chain_3000",
+        "assignment_chain_2000"])
 def test_long_chains_do_not_escape(tmp_path, body):
     _assert_deep_method_is_kept(tmp_path, body)
+
+
+# Each way to nest, 1000 levels deep: far past MAX_NESTING.
+DEEP_NESTING = {
+    "parentheses_1000": "y = " + "(" * 1000 + "x" + ")" * 1000 + ";",
+    "blocks_1000": "{ " * 1000 + "y = 1;" + " }" * 1000,
+    "ifs_1000": "if (x > 0) " * 1000 + "y = 1;",
+    "calls_1000": "y = " + "f(" * 1000 + "x" + ")" * 1000 + ";",
+    "index_1000": "y = " + "x[" * 1000 + "0" + "]" * 1000 + ";",
+    "operator_ladder_1000": ("y = " + "a || a && a == a < a + a * (" * 1000
+                             + "a" + ")" * 1000 + ";"),
+}
+
+
+@pytest.mark.parametrize("body", DEEP_NESTING.values(), ids=DEEP_NESTING)
+def test_nesting_past_the_limit_is_a_parse_failure(tmp_path, body):
+    path = tmp_path / "Deep.java"
+    path.write_text(_deep_method(body), encoding="utf-8")
+    config = validate_config(base_config(tmp_path, tmp_path / "out"))
+    result = process_file(path, "Deep.java", config)
+    assert result.units == []
+    assert result.error.startswith("line 3, column ")
+    assert (f"expected at most {MAX_NESTING} levels of nesting"
+            in result.error)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_counts_too_deep_files_as_parse_failures(tmp_path, parallelism):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name, body in {**DEEP_NESTING, "shallow": "y = (x);"}.items():
+        (in_dir / f"{name}.java").write_text(_deep_method(body),
+                                             encoding="utf-8")
+    config = validate_config(base_config(in_dir, tmp_path / "out",
+                                         parallelism=parallelism))
+    stats = run(config, io.StringIO())
+    assert (stats.files_seen, stats.files_parsed, stats.parse_failures) == (
+        len(DEEP_NESTING) + 1, 1, len(DEEP_NESTING))
+
+
+@pytest.mark.parametrize("nest, innermost", [
+    (lambda n: "y = " + "(" * n + "x" + ")" * n + ";", "x"),
+    (lambda n: "{ " * n + "y = 1;" + " }" * n, "y"),
+], ids=["parentheses", "blocks"])
+def test_nesting_limit_is_exact(nest, innermost):
+    # the statement around the parentheses, or inside the innermost block,
+    # and its expression take two of the levels
+    deepest = MAX_NESTING - 2
+    parse_file(_deep_method(nest(deepest)))
+    source = _deep_method(nest(deepest + 1))
+    with pytest.raises(ParseError) as info:
+        parse_file(source)
+    assert info.value.expected == f"at most {MAX_NESTING} levels of nesting"
+    assert info.value.found == repr(innermost)
+    line = source.splitlines()[2]
+    assert (info.value.line, info.value.column) == (
+        3, line.index(innermost) + 1)
 
 
 def test_long_chain_under_tree_size_filter_does_not_escape(tmp_path):
