@@ -1,16 +1,18 @@
-"""CST to AST simplification.
+"""AST building: tokens plus parser markers to a simplified tree.
 
-One loop over an explicit stack drops whitespace and any user-configured
-node kinds: ignored leaves (comments among them) go, and an ignored
-internal kind is spliced out node-wise, its children hoisted into the parent.
+`build` turns a file's token arrays and the parser's markers into its AST in
+one bottom-up pass, with no CST in between. It drops whitespace and any
+user-configured node kinds: ignored leaves (comments among them) go, and an
+ignored internal kind is spliced out node-wise, its children hoisted into
+the parent. Every span comes from the token arrays. `build_ast` takes a CST
+instead, flattening it back into tokens and markers first.
 """
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cst import (CST_KIND_NAMES, KIND_NAME, TOKEN_KINDS, CstKind, CstNode,
-                  SourceSpan, TRIVIA_KINDS)
+                  Marker, SourceSpan, Tokens, TRIVIA_KINDS, new_span)
 from .errors import ConfigError
 
 # Kinds whose leaves are structural punctuation/keywords; dropped by default
@@ -24,7 +26,7 @@ _COLLAPSE_TO_LEAF = (CstKind.MODIFIER, CstKind.TYPE_REF)
 _OPERATOR_SUFFIXED = (CstKind.BINARY_EXPR, CstKind.UNARY_EXPR)
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     """Simplified tree node. Leaves carry tokens, internal nodes do not.
 
@@ -58,8 +60,7 @@ class AstNode:
             stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
-class IgnoreList:
+class IgnoreList(NamedTuple):
     node_kinds: frozenset[CstKind]
 
     @classmethod
@@ -75,64 +76,99 @@ class IgnoreList:
 def build_ast(root: CstNode, ignore: IgnoreList) -> AstNode:
     """Simplify a FILE-rooted CST into an AST.
 
-    The FILE root itself is never dropped; a file whose content is dropped
-    entirely yields a childless FILE node.
+    Flattens the CST back into tokens and markers, then builds as `build`.
     """
     if root.kind is not CstKind.FILE:
         raise ValueError(f"expected FILE root, got {root.kind.name}")
-    drop = (frozenset(ignore.node_kinds) | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
-    tree = AstNode("FILE", span=root.span)
-    # top down, in preorder: each CST node with the child list it lands in
-    stack = list(zip(reversed(root.children), repeat(tree.children)))
-    # internal nodes in preorder, with their list and their index there;
-    # walked in reverse, a list changes only past a node's index until that
-    # node itself is handled
-    internal: list[tuple[AstNode, list[AstNode], int]] = []
+    kinds: list[CstKind] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    offsets: list[int] = []
+    markers: list[Marker] = []
+    # nodes to enter, and (kind, first token, child-node count) records of
+    # entered nodes, popped once their last token is in
+    stack: list = [root]
     while stack:
-        node, siblings = stack.pop()
-        kind = node.kind
-        if kind in TOKEN_KINDS:
-            if kind not in drop:
-                siblings.append(
-                    AstNode(KIND_NAME[kind], token=node.text, span=node.span))
-        elif kind in drop:
-            # node-wise removal: the node goes, its children take its place
-            stack.extend(zip(reversed(node.children), repeat(siblings)))
-        elif kind in _COLLAPSE_TO_LEAF and _drops_significant_leaf(node, drop):
-            text = _presentable_text(node)
-            if text:
-                siblings.append(AstNode(KIND_NAME[kind], token=text,
-                                        span=node.span))
+        node = stack.pop()
+        if type(node) is tuple:
+            kind, first, count = node
+            markers.append((kind, first, len(kinds), count))
+        elif node.kind in TOKEN_KINDS:
+            kinds.append(node.kind)
+            texts.append(node.text)
+            lines.append(node.span.line_start)
+            offsets.append(node.span.byte_offset_start)
         else:
+            stack.append((node.kind, len(kinds), sum(
+                child.kind not in TOKEN_KINDS for child in node.children)))
+            stack.extend(reversed(node.children))
+    # the line just past the last token: the one its final newline ends
+    lines.append(root.span.line_end + (texts[-1][-1] == "\n") if texts
+                 else root.span.line_start)
+    offsets.append(root.span.byte_offset_end)
+    return build(Tokens(kinds, texts, lines, offsets), markers, ignore)
+
+
+def build(tokens: Tokens, markers: list[Marker], ignore: IgnoreList) -> AstNode:
+    """Build the AST of a file from its tokens and parser markers.
+
+    One pass over the markers, which come in postorder, so each node meets
+    the results of its child nodes and takes its own tokens from the gaps
+    between them. The FILE root is never dropped; a file whose content is
+    dropped entirely yields a childless FILE node.
+    """
+    kinds, texts, lines, offsets = tokens
+    span = tokens.span
+    drop = (ignore.node_kinds | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
+    # (first, end, AST nodes) of completed nodes whose parent is still open;
+    # a dropped node leaves its children, a removed one nothing
+    done: list[tuple[int, int, list[AstNode]]] = []
+    for kind, first, end, count in markers:
+        kids = done[len(done) - count:]
+        del done[len(done) - count:]
+        if kind in _COLLAPSE_TO_LEAF and kind not in drop:
+            significant = [i for i in range(first, end)
+                           if kinds[i] not in TRIVIA_KINDS]
+            if any(kinds[i] in drop for i in significant):
+                text = "".join(texts[i] for i in significant)
+                done.append((first, end, [AstNode(
+                    KIND_NAME[kind], text, None, [], span(first, end))]
+                    if text else []))
+                continue
+        # the node's own tokens lie in the gaps around its child nodes
+        kids.append((end, end, ()))
+        children: list[AstNode] = []
+        op = None  # the first dropped operator among the node's own tokens
+        pos = first
+        for child_first, child_end, nodes in kids:
+            for i in range(pos, child_first):
+                token_kind = kinds[i]
+                if token_kind not in drop:
+                    # tokens.span(i, i + 1), inlined: one per leaf
+                    children.append(AstNode(
+                        KIND_NAME[token_kind], texts[i], None, [],
+                        new_span(SourceSpan, (
+                            offsets[i], offsets[i + 1], lines[i],
+                            lines[i + 1] - (texts[i][-1] == "\n")))))
+                elif token_kind is CstKind.OPERATOR and op is None:
+                    op = texts[i]
+            children += nodes
+            pos = child_end
+        if kind in drop:
+            # node-wise removal: the node goes, its children take its place
+            done.append((first, end, children))
+        elif kind is CstKind.PAREN_EXPR and len(children) == 1:
+            done.append((first, end, children))
+        elif children or kind is CstKind.FILE:
             node_type = KIND_NAME[kind]
-            if kind in _OPERATOR_SUFFIXED and CstKind.OPERATOR in drop:
-                op = next((c.text for c in node.children
-                           if c.kind is CstKind.OPERATOR), None)
-                if op:
-                    node_type = f"{node_type}:{op}"
-            ast = AstNode(node_type, span=node.span)
-            internal.append((ast, siblings, len(siblings)))
-            siblings.append(ast)
-            stack.extend(zip(reversed(node.children), repeat(ast.children)))
-    # bottom up: an internal node left with no children goes, and a
-    # parenthesised expression holding one node is replaced by that node
-    for ast, siblings, index in reversed(internal):
-        if not ast.children:
-            del siblings[index]
-        elif len(ast.children) == 1 and ast.node_type == "PAREN_EXPR":
-            siblings[index] = ast.children[0]
-    return tree
+            if op and kind in _OPERATOR_SUFFIXED:
+                node_type = f"{node_type}:{op}"
+            done.append((first, end, [AstNode(node_type, None, None, children,
+                                              span(first, end))]))
+        else:
+            done.append((first, end, []))
+    return done[0][2][0]
 
 
 def count_nodes(tree: AstNode) -> int:
     return sum(1 for _ in tree.preorder())
-
-
-def _drops_significant_leaf(node: CstNode, drop: frozenset[CstKind]) -> bool:
-    return any(leaf.kind in drop and leaf.kind not in TRIVIA_KINDS
-               for leaf in node.leaves())
-
-
-def _presentable_text(node: CstNode) -> str:
-    return "".join(leaf.text or "" for leaf in node.leaves()
-                   if leaf.kind not in TRIVIA_KINDS)

@@ -1,4 +1,8 @@
-"""Concrete syntax tree model.
+"""Token arrays and the concrete syntax tree model.
+
+The lexer scans a file into `Tokens`: parallel lists of kind, text, start
+line and UTF-8 byte offset, with no object per token. The parser marks node
+ranges over those lists, and both trees are built from tokens plus markers.
 
 A CST is lossless: every byte of the source file, including whitespace,
 punctuation and comments, lives in exactly one leaf, and concatenating the
@@ -7,7 +11,7 @@ leaf texts in order reproduces the file.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class CstKind(Enum):
@@ -75,8 +79,7 @@ KIND_NAME = {kind: kind.name for kind in CstKind}
 CST_KIND_NAMES = frozenset(KIND_NAME.values())
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Half-open byte range plus the 1-based line range it covers."""
 
     byte_offset_start: int
@@ -88,7 +91,50 @@ class SourceSpan:
         return self.line_end - self.line_start + 1
 
 
-@dataclass
+# SourceSpan's own constructor is a Python function; the builders make one
+# span per node, so they call tuple's constructor with the class instead.
+new_span = tuple.__new__
+
+
+class Tokens(NamedTuple):
+    """One file's tokens, trivia included, as parallel lists.
+
+    `lines` and `offsets` hold one entry more than there are tokens: the
+    line and the byte offset just past the last token.
+    """
+
+    kinds: list[CstKind]
+    texts: list[str]
+    lines: list[int]  # 1-based line each token starts on
+    offsets: list[int]  # UTF-8 byte offset each token starts at
+
+    def span(self, first: int, end: int) -> SourceSpan:
+        """The span of tokens [first, end); an empty range is zero-width at
+        token `first`, or just past the last token when there is none."""
+        _, texts, lines, offsets = self
+        if first < end:
+            # a newline belongs to the line it ends
+            return new_span(SourceSpan, (
+                offsets[first], offsets[end], lines[first],
+                lines[end] - (texts[end - 1][-1] == "\n")))
+        line = lines[first]
+        if first == len(texts) and texts:
+            line -= texts[-1][-1] == "\n"
+        return SourceSpan(offsets[first], offsets[first], line, line)
+
+    def leaves(self) -> list["CstNode"]:
+        """One CST leaf per token."""
+        span = self.span
+        return [CstNode(kind, span(i, i + 1), text)
+                for i, (kind, text) in enumerate(zip(self.kinds, self.texts))]
+
+
+# A node the parser marked: (kind, first token, end token, child-node count).
+# Token indices count trivia and the range is half-open.
+Marker = tuple[CstKind, int, int, int]
+
+
+@dataclass(slots=True)
 class CstNode:
     kind: CstKind
     span: SourceSpan

@@ -1,19 +1,21 @@
 """Tokenizer for the supported Java-like subset.
 
-The token stream is lossless: concatenating every token's text reproduces
-the input string byte-for-byte. Spans carry byte offsets (UTF-8) so later
-stages can filter by source location without re-reading files.
+`scan` splits a file into `Tokens`, parallel lists of kind, text, start
+line and UTF-8 byte offset, and creates no object per token. The tokens are
+lossless: concatenating their texts reproduces the input string
+byte-for-byte. Byte offsets let later stages filter by source location
+without re-reading files.
 
 One alternation regex, compiled at import, recognises every token; the name
-of the alternative that matched gives its kind. Only whitespace, block
-comments and quoted literals can contain a newline, and only comments and
-quoted literals can contain non-ASCII text, so lines are counted and bytes
-measured for those tokens alone.
+of the alternative that matched gives its kind. The loop over matches
+collects only kinds and texts; start lines and byte offsets are running
+sums over the texts, taken afterwards in one pass each.
 """
 
 import re
+from itertools import accumulate, repeat
 
-from .cst import CstKind, CstNode, SourceSpan
+from .cst import CstKind, CstNode, Tokens
 from .errors import LexError
 
 KEYWORDS = frozenset({
@@ -54,7 +56,9 @@ _TOKEN_RE = re.compile(r"""
   | (?P<PUNCTUATION>[(){}\[\];,.@])
 """, re.VERBOSE)
 
+# A WORD is an identifier unless it is a keyword or a word literal.
 _GROUP_KINDS = {
+    "WORD": CstKind.IDENTIFIER,
     "WHITE_SPACE": CstKind.WHITE_SPACE,
     "LINE_COMMENT": CstKind.LINE_COMMENT,
     "BLOCK_COMMENT": CstKind.BLOCK_COMMENT,
@@ -74,50 +78,39 @@ _UNTERMINATED = {
     "CHAR_OPEN": "unterminated char literal",
 }
 
-# Groups whose text may hold a newline, and those whose text may hold
-# characters outside ASCII.
-_MULTILINE_GROUPS = frozenset({"WHITE_SPACE", "BLOCK_COMMENT", "STRING", "CHAR"})
-_FREE_TEXT_GROUPS = frozenset({"LINE_COMMENT", "BLOCK_COMMENT", "STRING", "CHAR"})
 
-
-def tokenize(source: str) -> list[CstNode]:
-    """Split source into a lossless list of leaf nodes.
+def scan(source: str) -> Tokens:
+    """Split source into lossless token arrays.
 
     Raises LexError on any character admissible in no token, on unterminated
     string/char literals, and on unterminated block comments.
     """
-    tokens: list[CstNode] = []
-    measure_bytes = not source.isascii()
-    extra_bytes = 0  # UTF-8 bytes beyond one per character, so far
-    line = 1
-    line_start = 0  # char index where the current line begins
-    end = 0
+    kinds: list[CstKind] = []
+    texts: list[str] = []
+    match = None
     for match in iter(_TOKEN_RE.scanner(source).match, None):
-        group = match.lastgroup
-        start, end = match.span()
         text = match.group()
-        if group == "WORD":
-            kind = _WORD_KINDS.get(text, CstKind.IDENTIFIER)
-        else:
-            kind = _GROUP_KINDS.get(group)
-            if kind is None:
-                raise LexError(line, start - line_start + 1,
-                               _UNTERMINATED[group])
-        byte_start = start + extra_bytes
-        if measure_bytes and group in _FREE_TEXT_GROUPS:
-            extra_bytes += len(text.encode("utf-8")) - len(text)
-        newlines = text.count("\n") if group in _MULTILINE_GROUPS else 0
-        if newlines:
-            # The newline character belongs to the line it terminates.
-            end_line = line + newlines - (text[-1] == "\n")
-            span = SourceSpan(byte_start, end + extra_bytes, line,
-                              max(end_line, line))
-            line += newlines
-            line_start = start + text.rfind("\n") + 1
-        else:
-            span = SourceSpan(byte_start, end + extra_bytes, line, line)
-        tokens.append(CstNode(kind, span, text))
+        kind = _GROUP_KINDS.get(match.lastgroup)
+        if kind is CstKind.IDENTIFIER:
+            kind = _WORD_KINDS.get(text, kind)
+        elif kind is None:
+            _fail(source, match.start(), _UNTERMINATED[match.lastgroup])
+        kinds.append(kind)
+        texts.append(text)
+    end = match.end() if match else 0
     if end < len(source):
-        raise LexError(line, end - line_start + 1,
-                       f"unexpected character {source[end]!r}")
-    return tokens
+        _fail(source, end, f"unexpected character {source[end]!r}")
+    lines = list(accumulate(map(str.count, texts, repeat("\n")), initial=1))
+    sizes = map(len, texts if source.isascii() else map(str.encode, texts))
+    return Tokens(kinds, texts, lines, list(accumulate(sizes, initial=0)))
+
+
+def tokenize(source: str) -> list[CstNode]:
+    """The leaves of the file's CST: one node per token, spans included."""
+    return scan(source).leaves()
+
+
+def _fail(source: str, at: int, message: str):
+    line_start = source.rfind("\n", 0, at) + 1
+    raise LexError(source.count("\n", 0, at) + 1, at - line_start + 1,
+                   message)

@@ -1,15 +1,21 @@
 """Recursive descent parser for the Java-like subset.
 
-Builds lossless concrete syntax trees: every token, including whitespace and
-comments, becomes a leaf. As with IntelliJ's PsiBuilder, productions pass no
-child lists; they drive one stack of open nodes. `_open()` starts a node,
-`_wrap()` starts one around the node just completed (a left operand or a
-receiver), and `_close(kind)` ends the innermost node and appends it to its
-parent. Tokens are consumed only by `_advance`, directly where the caller
-has just checked the token, or through `_expect(text)` and `_name(what)`
-where it may be missing. Trivia stays with the enclosing node: `_open` and
-`_advance` first move pending whitespace and comments into the innermost
-open node.
+The parser builds no tree. As with IntelliJ's PsiBuilder, it marks node
+ranges over the token arrays of `lexer.scan` and records one marker per
+node, `(kind, first token, end token, child-node count)`, in the order the
+nodes complete: postorder, the FILE node last. Token indices count trivia.
+The FILE node spans every token, and any other node runs from its first
+significant token to just past its last one, so whitespace and comments
+belong to the innermost node whose range holds them. `parse_file` builds
+the lossless CST from the markers; `ast_builder.build` builds the AST from
+them directly.
+
+Productions drive one stack of open nodes. `_open()` starts a node at the
+next token, `_wrap()` starts one at the start of the element just completed
+(a left operand or a receiver, as `Marker.precede()` does), and
+`_close(kind)` ends the innermost node. Tokens are consumed only by
+`_advance`, directly where the caller has just checked the token, or
+through `_expect(text)` and `_name(what)` where it may be missing.
 
 Every chain is a loop that keeps its nodes open until the chain ends: an
 `else if` opens its IF_STMT inside the previous one, prefix operators open
@@ -19,16 +25,16 @@ parentheses, an index or an argument list) deepens Python's stack, and past
 MAX_NESTING open statements and expressions the parse fails with a
 ParseError instead of reaching the recursion limit.
 
-Parsing is single-pass. The parser keeps an index of the significant
-(non-trivia) tokens, so a lookahead of k tokens is one list lookup; it looks
+Parsing is single-pass over the significant (non-trivia) tokens, read as
+(kind, text) pairs, so a lookahead of k tokens is one list lookup; it looks
 one token ahead, plus a bounded scan to tell constructors from methods and
 declarations from expression statements. Token columns, needed only for
 error messages, are worked out when an error is raised.
 """
 
-from .cst import CstKind, CstNode, SourceSpan, TRIVIA_KINDS
+from .cst import CstKind, CstNode, Marker, Tokens, TRIVIA_KINDS
 from .errors import ParseError
-from .lexer import MODIFIER_KEYWORDS, PRIMITIVE_TYPE_KEYWORDS, tokenize
+from .lexer import MODIFIER_KEYWORDS, PRIMITIVE_TYPE_KEYWORDS, scan
 
 _TYPE_START_KEYWORDS = PRIMITIVE_TYPE_KEYWORDS | {"void"}
 
@@ -50,6 +56,16 @@ _BINARY_PRECEDENCE = {
 MAX_NESTING = 200
 
 
+# Two of these follow the last significant token; no lookahead reaches
+# further.
+_END_OF_FILE = (None, None)
+
+
+def parse(tokens: Tokens) -> list[Marker]:
+    """The markers of a scanned file, in postorder; raises ParseError."""
+    return _Parser(tokens)._file()
+
+
 def parse_file(source: str, path: str = "<memory>") -> CstNode:
     """Parse one source file into a FILE-rooted lossless CST.
 
@@ -57,65 +73,74 @@ def parse_file(source: str, path: str = "<memory>") -> CstNode:
     both, record the failure, and move on. `path` names the source for the
     caller and does not change the tree.
     """
-    return _Parser(tokenize(source))._file()
+    tokens = scan(source)
+    leaves = tokens.leaves()
+    # (first, end, node) of the completed nodes whose parent is still open
+    done: list[tuple[int, int, CstNode]] = []
+    for kind, first, end, count in parse(tokens):
+        children: list[CstNode] = []
+        pos = first
+        for child_first, child_end, child in done[len(done) - count:]:
+            children += leaves[pos:child_first]
+            children.append(child)
+            pos = child_end
+        del done[len(done) - count:]
+        children += leaves[pos:end]
+        done.append((first, end,
+                     CstNode(kind, tokens.span(first, end), None, children)))
+    return done[0][2]
 
 
 class _Parser:
-    def __init__(self, tokens: list[CstNode]):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
-        self.pos = 0  # next unconsumed token, trivia included
-        # Significant tokens and their indices in `tokens`; `_sig_pos`
-        # indexes both and always points at the next significant token.
-        self._sig_index = [i for i, tok in enumerate(tokens)
-                           if tok.kind not in TRIVIA_KINDS]
-        self._sig = [tokens[i] for i in self._sig_index]
-        self._sig_index.append(len(tokens))
-        self._sig_pos = 0
-        last = tokens[-1].span if tokens else SourceSpan(0, 0, 1, 1)
-        self._end = SourceSpan(last.byte_offset_end, last.byte_offset_end,
-                               last.line_end, last.line_end)
-        # The children of each open node, innermost last. The bottom list
-        # receives the FILE node, which is open from the first token on.
-        self._stack: list[list[CstNode]] = [[], []]
+        kinds, texts = tokens.kinds, tokens.texts
+        # Significant tokens as (kind, text) pairs, and their indices in
+        # `tokens`; `_pos` indexes both and points at the next one.
+        self._index = [i for i, kind in enumerate(kinds)
+                       if kind not in TRIVIA_KINDS]
+        self._sig = [(kinds[i], texts[i]) for i in self._index]
+        self._sig += (_END_OF_FILE, _END_OF_FILE)
+        self._index.append(len(kinds))
+        self._pos = 0
+        self.markers: list[Marker] = []
+        # The first significant token of each open node and how many child
+        # nodes it has so far, innermost last; the bottom entry is the FILE
+        # node, open from the first token on.
+        self._firsts = [0]
+        self._counts = [0]
+        # where the element completed last starts, and whether it is a node
+        self._last = 0
+        self._last_is_node = False
         self._depth = 0  # open `_statement` and `_expression` calls
 
     # -- token stream and node stack ------------------------------------------
 
-    def _peek(self, offset: int = 0) -> CstNode | None:
-        """The (offset+1)-th significant token ahead, skipping trivia."""
-        i = self._sig_pos + offset
-        return self._sig[i] if i < len(self._sig) else None
+    def _peek(self, offset: int = 0) -> tuple[CstKind | None, str | None]:
+        """The (offset+1)-th significant token ahead, as (kind, text)."""
+        return self._sig[self._pos + offset]
 
     def _peek_text(self, offset: int = 0) -> str | None:
-        tok = self._peek(offset)
-        return tok.text if tok is not None else None
+        return self._sig[self._pos + offset][1]
 
     def _at(self, text: str) -> bool:
-        return self._peek_text() == text
+        return self._sig[self._pos][1] == text
 
-    def _flush_trivia(self) -> None:
-        end = self._sig_index[self._sig_pos]
-        if end > self.pos:
-            self._stack[-1].extend(self.tokens[self.pos:end])
-            self.pos = end
-
-    def _advance(self) -> CstNode:
-        self._flush_trivia()
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        self._sig_pos += 1
-        self._stack[-1].append(tok)
-        return tok
+    def _advance(self) -> None:
+        self._last = self._pos
+        self._last_is_node = False
+        self._pos += 1
 
     def _expect(self, text: str) -> None:
         if not self._at(text):
             self._fail(f"'{text}'")
         self._advance()
 
-    def _name(self, what: str) -> CstNode:
-        if not self._is_identifier(self._peek()):
+    def _name(self, what: str) -> str:
+        if not self._is_identifier():
             self._fail(what)
-        return self._advance()
+        self._advance()
+        return self._sig[self._last][1]
 
     def _nest(self) -> None:
         # the caller lowers `_depth` again when it returns
@@ -124,38 +149,41 @@ class _Parser:
             self._fail(f"at most {MAX_NESTING} levels of nesting")
 
     def _open(self) -> None:
-        self._flush_trivia()
-        self._stack.append([])
+        self._firsts.append(self._pos)
+        self._counts.append(0)
 
     def _wrap(self) -> None:
-        self._stack.append([self._stack[-1].pop()])
+        self._firsts.append(self._last)
+        if self._last_is_node:
+            self._counts[-1] -= 1
+            self._counts.append(1)
+        else:
+            self._counts.append(0)
 
     def _close(self, kind: CstKind) -> None:
-        children = self._stack.pop()
-        if children:
-            first, last = children[0].span, children[-1].span
-            span = SourceSpan(first.byte_offset_start, last.byte_offset_end,
-                              first.line_start, last.line_end)
-        else:  # zero-width, at the next unconsumed token
-            at = (self.tokens[self.pos].span if self.pos < len(self.tokens)
-                  else self._end)
-            span = SourceSpan(at.byte_offset_start, at.byte_offset_start,
-                              at.line_start, at.line_start)
-        self._stack[-1].append(CstNode(kind, span, children=children))
+        first = self._firsts.pop()
+        start = self._index[first]
+        # an empty node is zero-width at the next significant token
+        end = self._index[self._pos - 1] + 1 if self._pos > first else start
+        self.markers.append((kind, start, end, self._counts.pop()))
+        self._counts[-1] += 1
+        self._last = first
+        self._last_is_node = True
 
     def _fail(self, expected: str):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(self._end.line_start, 1, expected, "end of file")
-        raise ParseError(tok.span.line_start,
-                         self._column(self._sig_index[self._sig_pos]),
-                         expected, repr(tok.text))
+        kind, text = self._peek()
+        if kind is None:
+            end = len(self.tokens.texts)
+            raise ParseError(self.tokens.span(end, end).line_start, 1,
+                             expected, "end of file")
+        index = self._index[self._pos]
+        raise ParseError(self.tokens.lines[index], self._column(index),
+                         expected, repr(text))
 
     def _column(self, index: int) -> int:
         """1-based character column where token `index` starts."""
         width = 0
-        for tok in reversed(self.tokens[:index]):
-            text = tok.text or ""
+        for text in reversed(self.tokens.texts[:index]):
             newline = text.rfind("\n")
             if newline != -1:
                 return width + len(text) - newline
@@ -164,32 +192,32 @@ class _Parser:
 
     # -- declarations ---------------------------------------------------------
 
-    def _file(self) -> CstNode:
+    def _file(self) -> list[Marker]:
         while True:
-            tok = self._peek()
-            if tok is None:
+            kind, text = self._peek()
+            if kind is None:
                 break
-            if tok.kind is CstKind.KEYWORD and (
-                    tok.text == "class" or tok.text in MODIFIER_KEYWORDS):
+            if kind is CstKind.KEYWORD and (
+                    text == "class" or text in MODIFIER_KEYWORDS):
                 self._class_decl()
-            elif tok.kind is CstKind.IDENTIFIER and tok.text in ("package", "import"):
+            elif kind is CstKind.IDENTIFIER and text in ("package", "import"):
                 # header lines are kept as raw leaf tokens, not parsed
                 while not self._at(";"):
-                    if self._peek() is None:
+                    if self._peek_text() is None:
                         self._fail("';'")
                     self._advance()
                 self._advance()
             else:
                 self._fail("class declaration")
-        self._flush_trivia()
-        self._close(CstKind.FILE)
-        return self._stack[0][0]
+        self.markers.append((CstKind.FILE, 0, len(self.tokens.texts),
+                             self._counts[0]))
+        return self.markers
 
     def _class_decl(self) -> None:
         self._open()
         self._modifier_list(allow_annotations=False)
         self._expect("class")
-        name = self._name("class name").text
+        name = self._name("class name")
         if self._at("extends"):
             self._advance()
             self._type_ref()
@@ -201,10 +229,10 @@ class _Parser:
                 self._type_ref()
         self._expect("{")
         while True:
-            tok = self._peek()
-            if tok is None:
+            text = self._peek_text()
+            if text is None:
                 self._fail("'}'")
-            if tok.text == "}":
+            if text == "}":
                 break
             self._member(name)
         self._advance()
@@ -213,14 +241,14 @@ class _Parser:
     def _modifier_list(self, allow_annotations: bool) -> None:
         self._open()
         while True:
-            tok = self._peek()
-            if tok is None:
+            kind, text = self._peek()
+            if kind is None:
                 break
-            if tok.kind is CstKind.KEYWORD and tok.text in MODIFIER_KEYWORDS:
+            if kind is CstKind.KEYWORD and text in MODIFIER_KEYWORDS:
                 self._open()
                 self._advance()
                 self._close(CstKind.MODIFIER)
-            elif allow_annotations and tok.text == "@":
+            elif allow_annotations and text == "@":
                 self._open()
                 self._advance()
                 self._name("annotation name")
@@ -232,11 +260,9 @@ class _Parser:
     def _member(self, class_name: str | None) -> None:
         self._open()
         self._modifier_list(allow_annotations=True)
-        first = self._peek()
-        second = self._peek(1)
-        if (first is not None and first.kind is CstKind.IDENTIFIER
-                and first.text == class_name
-                and second is not None and second.text == "("):
+        kind, text = self._peek()
+        if (kind is CstKind.IDENTIFIER and text == class_name
+                and self._peek_text(1) == "("):
             self._advance()
             self._list(CstKind.PARAMETER_LIST, self._parameter)
             self._code_block()
@@ -263,14 +289,12 @@ class _Parser:
 
     def _type_ref(self) -> None:
         self._open()
-        tok = self._peek()
-        if tok is None:
-            self._fail("type")
-        if tok.kind is CstKind.KEYWORD and tok.text in _TYPE_START_KEYWORDS:
+        kind, text = self._peek()
+        if kind is CstKind.KEYWORD and text in _TYPE_START_KEYWORDS:
             self._advance()
-        elif tok.kind is CstKind.IDENTIFIER:
+        elif kind is CstKind.IDENTIFIER:
             self._advance()
-            while self._at(".") and self._is_identifier(self._peek(1)):
+            while self._at(".") and self._is_identifier(1):
                 self._advance()
                 self._advance()
         else:
@@ -279,12 +303,12 @@ class _Parser:
             self._advance()
             depth = 1
             while depth > 0:
-                inner = self._peek()
-                if inner is None or inner.text in (";", "{", "}", "(", ")", "="):
+                inner = self._peek_text()
+                if inner is None or inner in (";", "{", "}", "(", ")", "="):
                     self._fail("'>'")
-                if inner.text == "<":
+                if inner == "<":
                     depth += 1
-                elif inner.text == ">":
+                elif inner == ">":
                     depth -= 1
                 self._advance()
         while self._at("[") and self._peek_text(1) == "]":
@@ -316,10 +340,10 @@ class _Parser:
         self._open()
         self._expect("{")
         while True:
-            tok = self._peek()
-            if tok is None:
+            text = self._peek_text()
+            if text is None:
                 self._fail("'}'")
-            if tok.text == "}":
+            if text == "}":
                 break
             self._statement()
         self._advance()
@@ -327,10 +351,10 @@ class _Parser:
 
     def _statement(self) -> None:
         self._nest()
-        tok = self._peek()
-        if tok is None:
+        kind, text = self._peek()
+        if kind is None:
             self._fail("statement")
-        keyword = tok.text if tok.kind is CstKind.KEYWORD else None
+        keyword = text if kind is CstKind.KEYWORD else None
         if keyword == "if":
             self._if_stmt()
         elif keyword == "while":
@@ -341,7 +365,7 @@ class _Parser:
             self._return_stmt()
         elif self._looks_like_decl():
             self._local_var_decl()
-        elif tok.text == "{":
+        elif text == "{":
             self._code_block()
         elif keyword is None or keyword == "new":
             self._expr_stmt()
@@ -352,38 +376,37 @@ class _Parser:
     def _looks_like_decl(self) -> bool:
         # A primitive type keyword, or IDENT ('.' IDENT)* ('<' balanced '>')?
         # ('[' ']')* IDENT, marks a local variable declaration.
-        first = self._peek()  # callers have checked that there is one
-        if first.kind is CstKind.KEYWORD:
-            return first.text in PRIMITIVE_TYPE_KEYWORDS
-        if first.kind is not CstKind.IDENTIFIER:
+        kind, text = self._peek()
+        if kind is CstKind.KEYWORD:
+            return text in PRIMITIVE_TYPE_KEYWORDS
+        if kind is not CstKind.IDENTIFIER:
             return False
         j = 1
-        while self._peek_text(j) == "." and self._is_identifier(self._peek(j + 1)):
+        while self._peek_text(j) == "." and self._is_identifier(j + 1):
             j += 2
         if self._peek_text(j) == "<":
             depth = 1
             j += 1
             while depth > 0:
-                tok = self._peek(j)
-                if tok is None:
+                kind, text = self._peek(j)
+                if kind is None:
                     return False
-                if tok.text == "<":
+                if text == "<":
                     depth += 1
-                elif tok.text == ">":
+                elif text == ">":
                     depth -= 1
-                elif not (tok.kind is CstKind.IDENTIFIER
-                          or tok.text in (",", ".", "[", "]")
-                          or (tok.kind is CstKind.KEYWORD
-                              and tok.text in PRIMITIVE_TYPE_KEYWORDS)):
+                elif not (kind is CstKind.IDENTIFIER
+                          or text in (",", ".", "[", "]")
+                          or (kind is CstKind.KEYWORD
+                              and text in PRIMITIVE_TYPE_KEYWORDS)):
                     return False
                 j += 1
         while self._peek_text(j) == "[" and self._peek_text(j + 1) == "]":
             j += 2
-        return self._is_identifier(self._peek(j))
+        return self._is_identifier(j)
 
-    @staticmethod
-    def _is_identifier(tok: CstNode | None) -> bool:
-        return tok is not None and tok.kind is CstKind.IDENTIFIER
+    def _is_identifier(self, offset: int = 0) -> bool:
+        return self._sig[self._pos + offset][0] is CstKind.IDENTIFIER
 
     def _local_var_decl(self) -> None:
         self._open()
@@ -429,10 +452,10 @@ class _Parser:
         self._open()
         self._advance()
         self._expect("(")
-        tok = self._peek()
-        if tok is None:
+        text = self._peek_text()
+        if text is None:
             self._fail("for initializer")
-        if tok.text == ";":
+        if text == ";":
             self._advance()
         elif self._looks_like_decl():
             self._local_var_decl()
@@ -500,7 +523,7 @@ class _Parser:
             prefixes += 1
         self._primary()
         while True:
-            if self._at(".") and self._is_identifier(self._peek(1)):
+            if self._at(".") and self._is_identifier(1):
                 is_call = self._peek_text(2) == "("
                 self._wrap()
                 self._advance()
@@ -522,13 +545,11 @@ class _Parser:
             self._close(CstKind.UNARY_EXPR)
 
     def _primary(self) -> None:
-        tok = self._peek()
-        if tok is None:
-            self._fail("expression")
-        if tok.kind is CstKind.LITERAL:
+        kind, text = self._peek()
+        if kind is CstKind.LITERAL:
             # a bare leaf of the enclosing expression
             self._advance()
-        elif tok.kind is CstKind.IDENTIFIER:
+        elif kind is CstKind.IDENTIFIER:
             self._open()
             self._advance()
             if self._at("("):
@@ -536,13 +557,13 @@ class _Parser:
                 self._close(CstKind.METHOD_CALL)
             else:
                 self._close(CstKind.REFERENCE_EXPR)
-        elif tok.text == "(":
+        elif text == "(":
             self._open()
             self._advance()
             self._expression()
             self._expect(")")
             self._close(CstKind.PAREN_EXPR)
-        elif tok.text == "new":
+        elif text == "new":
             self._open()
             self._advance()
             self._type_ref()

@@ -15,13 +15,14 @@ from itertools import repeat
 from pathlib import Path
 from typing import TextIO
 
-from .ast_builder import build_ast
+from .ast_builder import build
 from .config import PipelineConfig
 from .errors import ConfigError, LexError, ParseError
 from .filters import accept
 from .granularity import split as split_units
 from .labels import extract_method_name, extract_none
-from .parser import parse_file
+from .lexer import scan
+from .parser import parse
 from .paths import mine
 from .storage import RunStatistics, finalize, format_sample
 from .type_resolver import annotate_types
@@ -81,16 +82,33 @@ def _matches(path: Path, extensions: tuple[str, ...]) -> bool:
 
 
 def process_file(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
-    """Run parse through serialization for one file. Pure; no shared state."""
+    """Run parse through serialization for one file. Pure; no shared state.
+
+    Never raises for a bad file: an exception the stages do not expect
+    comes back as a failed result with stage `internal`.
+    """
+    try:
+        return _process(path, relpath, config)
+    except Exception as exc:  # no single file may end the run
+        logger.error("internal error in %s", relpath, exc_info=True)
+        return FileResult(
+            relpath, f"internal: {type(exc).__name__}: {exc}", [])
+
+
+def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         return FileResult(relpath, f"not valid UTF-8: {exc}", [])
     try:
-        cst = parse_file(text, relpath)
+        tokens = scan(text)
+        markers = parse(tokens)
     except (LexError, ParseError) as exc:
         return FileResult(relpath, str(exc), [])
-    tree = annotate_types(build_ast(cst, config.ignore))
+    tree = build(tokens, markers, config.ignore)
+    if config.storage_format != "code2seq":
+        # plain code2seq lines carry no types, and no stage reads them
+        annotate_types(tree)
     units = []
     for unit in split_units(tree, config.granularity):
         # a unit counts against the first filter that rejects it only

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from treemine import (ConfigError, annotate_types, build_ast, count_nodes,
                       parse_file)
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList
+from treemine.ast_builder import build as build_from_markers
 from treemine.cst import CST_KIND_NAMES
+from treemine.lexer import scan
+from treemine.parser import parse
 
 from conftest import (CORPUS_DIR, GOLDEN_DIR, RECURSIVE_DIR, build, find_all,
                       find_one, leaf_tokens)
@@ -248,15 +251,24 @@ def _cst(name):
     return parse_file(SOURCES[name], name)
 
 
+@cache
+def _markers(name):
+    tokens = scan(SOURCES[name])
+    return tokens, parse(tokens)
+
+
 def _assert_matches_recursive_reference(names):
     ignore = IgnoreList.from_names(names)
     for name in SOURCES:
-        built = build_ast(_cst(name), ignore)
-        expected = oracle_build_ast(_cst(name), ignore)
-        assert built == expected, name
-        assert ([n.span for n in built.preorder()]
-                == [n.span for n in expected.preorder()]), name
-        assert annotate_types(built) == oracle_annotate_types(expected), name
+        # from the CST, and from tokens and markers as the pipeline builds
+        for built in (build_ast(_cst(name), ignore),
+                      build_from_markers(*_markers(name), ignore)):
+            expected = oracle_build_ast(_cst(name), ignore)
+            spans = [n.span for n in expected.preorder()]
+            assert built == expected, name
+            assert [n.span for n in built.preorder()] == spans, name
+            assert annotate_types(built) == oracle_annotate_types(
+                expected), name
 
 
 @pytest.mark.parametrize("names", IGNORE_LISTS.values(), ids=IGNORE_LISTS)

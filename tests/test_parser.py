@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemine import (CstKind, LexError, ParseError, parse_file, run,
-                      validate_config)
+from treemine import (CstKind, LexError, ParseError, build_ast, parse_file,
+                      run, validate_config)
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList, build
 from treemine.cst import TRIVIA_KINDS
-from treemine.lexer import tokenize
-from treemine.parser import MAX_NESTING
+from treemine.lexer import scan, tokenize
+from treemine.parser import MAX_NESTING, parse
 from treemine.pipeline import process_file
 
 from conftest import BAD_DIR, CORPUS_DIR, GOLDEN_DIR, base_config, cst_text
+from oracle_ast import oracle_build_ast
 from oracle_parser import parse_file as oracle_parse_file
 
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.java"))
@@ -452,6 +454,21 @@ def test_nesting_limit_is_exact(nest, innermost):
         3, line.index(innermost) + 1)
 
 
+@pytest.mark.parametrize("granularity, extractor", [
+    ("method", "method_name"), ("file", "none")])
+def test_3000_statement_method_is_kept(tmp_path, granularity, extractor):
+    path = tmp_path / "Long.java"
+    path.write_text(_deep_method("\n        ".join(
+        f"y = y + x * {i};" for i in range(3000))), encoding="utf-8")
+    config = validate_config(base_config(
+        tmp_path, tmp_path / "out", granularity=granularity,
+        label_extractor={"name": extractor}))
+    result = process_file(path, "Long.java", config)
+    assert result.error is None
+    assert len(result.units) == 1 and result.units[0].kept
+    assert result.units[0].n_contexts > 0
+
+
 def test_long_chain_under_tree_size_filter_does_not_escape(tmp_path):
     _assert_deep_method_is_kept(
         tmp_path, CALL_CHAIN_500,
@@ -511,15 +528,50 @@ def test_matches_reference_parser(name):
     _assert_matches_reference(REFERENCE_INPUTS[name])
 
 
+def _draw_mutant(data):
+    """A reference input, truncated or with one token deleted."""
+    source = data.draw(st.sampled_from(list(REFERENCE_INPUTS.values())))
+    if data.draw(st.booleans()):
+        return source[:data.draw(st.integers(0, len(source)))]
+    tokens = _token_texts(source)
+    if tokens:
+        del tokens[data.draw(st.integers(0, len(tokens) - 1))]
+    return "".join(tokens)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_matches_reference_parser_on_truncations_and_deletions(data):
-    source = data.draw(st.sampled_from(list(REFERENCE_INPUTS.values())))
-    if data.draw(st.booleans()):
-        source = source[:data.draw(st.integers(0, len(source)))]
-    else:
-        tokens = _token_texts(source)
-        if tokens:
-            del tokens[data.draw(st.integers(0, len(tokens) - 1))]
-        source = "".join(tokens)
-    _assert_matches_reference(source)
+    _assert_matches_reference(_draw_mutant(data))
+
+
+AST_IGNORE_LISTS = [IgnoreList.from_names(names) for names in (
+    DEFAULT_IGNORE_NAMES, (),
+    DEFAULT_IGNORE_NAMES + ("LINE_COMMENT", "BLOCK_COMMENT"),
+    ("TYPE_REF", "MODIFIER_LIST", "MODIFIER", "ANNOTATION", "KEYWORD"))]
+
+
+def _nodes(tree):
+    """Every node of an AST in preorder, span included."""
+    return [(n.node_type, n.token, n.span, len(n.children))
+            for n in tree.preorder()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_front_end_builds_the_reference_ast_on_truncations_and_deletions(data):
+    # the pipeline's path: token arrays, markers, then the one builder
+    source = _draw_mutant(data)
+    try:
+        reference = oracle_parse_file(source)
+    except (LexError, ParseError):
+        with pytest.raises((LexError, ParseError)):
+            parse(scan(source))
+        return
+    tokens = scan(source)
+    markers = parse(tokens)
+    cst = parse_file(source)
+    for ignore in AST_IGNORE_LISTS:
+        built = _nodes(build(tokens, markers, ignore))
+        assert built == _nodes(oracle_build_ast(reference, ignore))
+        assert built == _nodes(build_ast(cst, ignore))

@@ -1,14 +1,19 @@
+import importlib.util
 import io
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
-from treemine import ConfigError, run, validate_config
+from treemine import (ConfigError, CstNode, parse_file, pipeline, run,
+                      validate_config)
 from treemine.pipeline import (LOOSE_PROJECT, SPLIT_NAMES, discover_projects,
                                discover_splits, process_file)
 
-from conftest import base_config, write_files
+from conftest import FIXTURES, GOLDEN_DIR, base_config, write_files
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RECURSIVE = """class A {
     int fib(int n) {
@@ -254,7 +259,6 @@ def test_run_empty_input_writes_empty_dataset(tmp_path):
 
 
 def test_run_logs_skipped_files(tmp_path, caplog):
-    import logging
     with caplog.at_level(logging.WARNING, logger="treemine"):
         run_config(tmp_path)
     assert any("bad.java" in message for message in caplog.messages)
@@ -290,3 +294,95 @@ def test_rejected_units_have_no_line(tmp_path):
     assert not unit.kept
     assert unit.rejected_by == "abstract_method"
     assert unit.line is None
+
+
+# -- the per-file guard and the marker-based front end --------------------------
+
+FORMATS = ("code2seq", "code2seq_typed", "jsonl_trees")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_counts_a_file_whose_stage_raises(tmp_path, monkeypatch, caplog,
+                                              parallelism):
+    real_mine = pipeline.mine
+
+    def mine(tree, limits, label):
+        if label == "fib":
+            raise RuntimeError("boom")
+        return real_mine(tree, limits, label)
+
+    monkeypatch.setattr(pipeline, "mine", mine)
+    with caplog.at_level(logging.WARNING, logger="treemine"):
+        stats, _ = run_config(tmp_path, parallelism=parallelism)
+    assert stats.files_parsed + stats.parse_failures == stats.files_seen
+    assert (stats.files_seen, stats.parse_failures) == (5, 2)
+    assert any("A.java: internal: RuntimeError: boom" in message
+               for message in caplog.messages)
+
+
+def _reference_files(directory):
+    """Every fixture, golden input and bench probe file, written or found
+    under `directory`."""
+    spec = importlib.util.spec_from_file_location(
+        "replay", ROOT / "bench" / "replay.py")
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    for name, data in replay.adversarial_files().items():
+        (directory / name).write_bytes(data)
+    return (sorted(FIXTURES.rglob("*.java"))
+            + sorted((GOLDEN_DIR / "input").rglob("*.java"))
+            + sorted(directory.iterdir()))
+
+
+@pytest.mark.parametrize("storage, granularity, extractor", [
+    ("code2seq", "method", "method_name"),
+    ("code2seq_typed", "method", "method_name"),
+    ("jsonl_trees", "file", "none"),
+])
+def test_no_reference_file_reaches_the_guard(tmp_path, storage, granularity,
+                                             extractor):
+    probe_dir = tmp_path / "probe"
+    probe_dir.mkdir()
+    config = validate_config(base_config(
+        tmp_path, tmp_path / "out", storage={"format": storage},
+        granularity=granularity, label_extractor={"name": extractor}))
+    for path in _reference_files(probe_dir):
+        # the stage chain without the guard: nothing may escape it
+        pipeline._process(path, path.name, config)
+
+
+@pytest.mark.parametrize("storage", FORMATS)
+def test_process_file_builds_no_cst(tmp_path, monkeypatch, storage):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a CST node was built")
+
+    monkeypatch.setattr(CstNode, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        parse_file(RECURSIVE)
+    path = tmp_path / "A.java"
+    path.write_text(RECURSIVE, encoding="utf-8")
+    config = validate_config(base_config(tmp_path, tmp_path / "out",
+                                         storage={"format": storage}))
+    result = process_file(path, "A.java", config)
+    assert result.error is None
+    assert [unit.line is not None for unit in result.units] == [True, True]
+
+
+@pytest.mark.parametrize("storage", FORMATS)
+def test_only_typed_formats_annotate_types(tmp_path, monkeypatch, storage):
+    path = tmp_path / "A.java"
+    path.write_text(RECURSIVE, encoding="utf-8")
+    config = validate_config(base_config(tmp_path, tmp_path / "out",
+                                         storage={"format": storage}))
+    expected = process_file(path, "A.java", config)
+
+    def refuse(tree):
+        raise RuntimeError("types annotated")
+
+    monkeypatch.setattr(pipeline, "annotate_types", refuse)
+    result = process_file(path, "A.java", config)
+    if storage == "code2seq":
+        assert result == expected
+    else:
+        assert result.error == "internal: RuntimeError: types annotated"
+        assert result.units == []
