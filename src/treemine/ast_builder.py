@@ -43,6 +43,13 @@ class AstNode:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def name_leaf(self) -> "AstNode | None":
+        """The first IDENTIFIER leaf child: the name of a declaration."""
+        for child in self.children:
+            if not child.children and child.node_type == "IDENTIFIER":
+                return child
+        return None
+
     def leaves(self) -> Iterator["AstNode"]:
         stack = [self]
         while stack:

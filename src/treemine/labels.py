@@ -44,9 +44,7 @@ def extract_method_name(tree: AstNode,
         raise ConfigError(
             "method_name extraction requires method granularity; "
             f"got a {tree.node_type} tree")
-    name_leaf = next((child for child in tree.children
-                      if child.is_leaf() and child.node_type == "IDENTIFIER"),
-                     None)
+    name_leaf = tree.name_leaf()
     if name_leaf is None or not name_leaf.token:
         raise ConfigError("method tree has no declaration name leaf")
     label = name_leaf.token

@@ -18,13 +18,6 @@ from itertools import accumulate, repeat
 from .cst import CstKind, CstNode, Tokens
 from .errors import LexError
 
-KEYWORDS = frozenset({
-    "class", "extends", "implements",
-    "public", "private", "protected", "static", "final", "abstract",
-    "void", "if", "else", "while", "for", "return", "new",
-    "int", "long", "short", "byte", "char", "boolean", "float", "double",
-})
-
 MODIFIER_KEYWORDS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
 })
@@ -32,6 +25,11 @@ MODIFIER_KEYWORDS = frozenset({
 PRIMITIVE_TYPE_KEYWORDS = frozenset({
     "int", "long", "short", "byte", "char", "boolean", "float", "double",
 })
+
+KEYWORDS = MODIFIER_KEYWORDS | PRIMITIVE_TYPE_KEYWORDS | {
+    "class", "extends", "implements", "void", "if", "else", "while", "for",
+    "return", "new",
+}
 
 # true/false/null read like words but are literals, so that literal leaves
 # survive keyword dropping during AST simplification.

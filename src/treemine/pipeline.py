@@ -3,17 +3,18 @@
 Discovers inputs split by split, processes one project at a time (first-level
 subdirectories, plus loose files under the split root), runs the full stage
 chain per file, and writes outputs in a fixed order so results are
-byte-identical at any parallelism level.
+byte-identical at any parallelism level. Outputs are written under staging
+names and moved into place together once the run has finished, so a run that
+fails or is interrupted leaves the previous dataset as it was.
 """
 
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .ast_builder import build
 from .config import PipelineConfig
@@ -24,7 +25,8 @@ from .labels import extract_method_name, extract_none
 from .lexer import scan
 from .parser import parse
 from .paths import mine
-from .storage import RunStatistics, finalize, format_sample
+from .storage import (STATS_FILE, RunStatistics, finalize, format_sample,
+                      staging_path)
 from .type_resolver import annotate_types
 
 logger = logging.getLogger("treemine")
@@ -35,16 +37,13 @@ SPLIT_NAMES = ("train", "val", "test")
 LOOSE_PROJECT = "."
 
 
-@dataclass
-class UnitResult:
-    kept: bool
-    rejected_by: str | None
+class UnitResult(NamedTuple):
+    rejected_by: str | None  # None when the unit is kept
     n_contexts: int
     line: str | None
 
 
-@dataclass
-class FileResult:
+class FileResult(NamedTuple):
     relpath: str
     error: str | None
     units: list[UnitResult]
@@ -115,7 +114,7 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
         rejected_by = next((spec.name for spec in config.filters
                             if not accept(unit, unit.span, spec)), None)
         if rejected_by is not None:
-            units.append(UnitResult(False, rejected_by, 0, None))
+            units.append(UnitResult(rejected_by, 0, None))
             continue
         if config.extractor_name == "method_name":
             sample = extract_method_name(unit, config.name_token,
@@ -127,7 +126,7 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
         else:
             contexts = mine(sample.tree, config.miner, sample.label)
         line = format_sample(sample, contexts, config.storage_format)
-        units.append(UnitResult(True, None, len(contexts), line))
+        units.append(UnitResult(None, len(contexts), line))
     return FileResult(relpath, None, units)
 
 
@@ -135,29 +134,38 @@ def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatis
     """Execute the whole pipeline; returns the collected statistics.
 
     Per-file lex/parse failures are recorded and skipped; configuration and
-    I/O problems raise.
+    I/O problems raise. A run that raises, or is interrupted, changes no
+    file of `output_dir` and leaves no staging file behind.
     """
     if not config.input_dir.is_dir():
         raise ConfigError(f"input_dir does not exist: {config.input_dir}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
     storage_spec = config.storage_spec()
     stats = RunStatistics()
-    # one pool for the whole run; its map yields results in submission order,
-    # keeping output deterministic
-    with (ThreadPoolExecutor(max_workers=config.parallelism)
-          if config.parallelism > 1 else nullcontext()) as pool:
-        map_files = pool.map if pool else map
-        for split_name, split_root in discover_splits(config.input_dir):
-            out_path = storage_spec.output_path(split_name)
-            with open(out_path, "w", encoding="utf-8", newline="") as sink:
-                for _, files in discover_projects(split_root,
-                                                  config.source_extensions):
-                    relpaths = [p.relative_to(split_root).as_posix()
-                                for p in files]
-                    for result in map_files(process_file, files, relpaths,
-                                            repeat(config)):
-                        _consume(result, stats, sink)
-    finalize(stats, summary_sink or sys.stdout, config.output_dir)
+    staged: list[Path] = []
+    try:
+        # one pool for the whole run; its map yields results in submission
+        # order, keeping output deterministic
+        with (ThreadPoolExecutor(max_workers=config.parallelism)
+              if config.parallelism > 1 else nullcontext()) as pool:
+            map_files = pool.map if pool else map
+            for split_name, split_root in discover_splits(config.input_dir):
+                out_path = storage_spec.output_path(split_name)
+                staged.append(out_path)
+                with open(staging_path(out_path), "w", encoding="utf-8",
+                          newline="") as sink:
+                    for _, files in discover_projects(split_root,
+                                                      config.source_extensions):
+                        relpaths = [p.relative_to(split_root).as_posix()
+                                    for p in files]
+                        for result in map_files(process_file, files, relpaths,
+                                                repeat(config)):
+                            _consume(result, stats, sink)
+        finalize(stats, summary_sink or sys.stdout, config.output_dir, staged)
+    finally:
+        # only a run that stopped before finalize moved them leaves any
+        for path in (*staged, config.output_dir / STATS_FILE):
+            staging_path(path).unlink(missing_ok=True)
     return stats
 
 

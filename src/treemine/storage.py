@@ -6,15 +6,17 @@ the same samples always produce the same bytes.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
+from typing import Sequence, TextIO
 
 from .ast_builder import AstNode
 from .labels import LabeledTree
 from .paths import PathContext, split_subtokens
 
 FORMATS = ("code2seq", "code2seq_typed", "jsonl_trees")
+STATS_FILE = "stats.json"
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,27 @@ def format_sample(sample: LabeledTree, contexts: list[PathContext],
 
 # -- statistics ---------------------------------------------------------------
 
-def finalize(stats: RunStatistics, sink: TextIO, output_dir: Path) -> None:
-    """Write the human-readable summary to sink and stats.json to disk."""
+def staging_path(path: Path) -> Path:
+    """Where an output file is written until its run moves it into place."""
+    return path.with_name(f".{path.name}.partial")
+
+
+def finalize(stats: RunStatistics, sink: TextIO, output_dir: Path,
+             staged: Sequence[Path]) -> None:
+    """Commit a finished run: move its files into place, then summarize.
+
+    Writes stats.json at its staging path, then replaces stats.json and each
+    of `staged`, whose bytes sit at their staging paths, one after another
+    with no work in between. The human-readable summary goes to sink last.
+    """
     data = stats.to_dict()
+    stats_path = output_dir / STATS_FILE
+    with open(staging_path(stats_path), "w", encoding="utf-8",
+              newline="") as handle:
+        json.dump(data, handle, indent=2)
+        handle.write("\n")
+    for path in (*staged, stats_path):
+        os.replace(staging_path(path), path)
     lines = [
         "run statistics:",
         f"  files seen:           {data['files_seen']}",
@@ -155,7 +175,3 @@ def finalize(stats: RunStatistics, sink: TextIO, output_dir: Path) -> None:
     for name, count in data["filter_rejections"].items():
         lines.append(f"  rejected by {name}: {count}")
     sink.write("\n".join(lines) + "\n")
-    stats_path = output_dir / "stats.json"
-    with open(stats_path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")

@@ -4,8 +4,9 @@ Sets the resolved_type of IDENTIFIER and LITERAL leaves, in place, to a
 resolved type string, or to the NO_TYPE sentinel when resolution fails.
 Resolution is single-file: class members are visible order-independently,
 locals only at and after their declaration, inner bindings shadow outer
-ones. The walk is one loop over an explicit stack whose entries carry
-their scope, so tree depth is not bounded by the recursion limit.
+ones. The walk is one loop over an explicit stack, popped in preorder. Each
+entry carries its node's scope, the class's method return types, and the
+type its declarer gave its name leaf, so each declaration is read once.
 """
 
 from dataclasses import dataclass, field
@@ -44,87 +45,21 @@ def annotate_types(tree: AstNode) -> AstNode:
     that build_ast has just built for this file, which nothing else holds.
     Never fails: anything unresolvable gets NO_TYPE.
     """
-    classes = {}
+    classes: dict[str, str] = {}
+    top = []
     for child in tree.children:
+        declared = None
         if child.node_type == "CLASS_DECL":
             name = _first_identifier_token(child)
             if name:
                 classes[name] = name
-    for child in tree.children:
-        if child.node_type == "CLASS_DECL":
-            _annotate_class(child, classes)
-        else:
-            _annotate(child, Scope(dict(classes)), {})
-    return tree
-
-
-def _annotate_class(node: AstNode, classes: dict[str, str]) -> None:
-    class_name = _first_identifier_token(node)
-    bindings = dict(classes)
-    methods: dict[str, str] = {}
-    for member in node.children:
-        name = _first_identifier_token(member)
-        if not name:
-            continue
-        if member.node_type == "FIELD_DECL":
-            bindings[name] = _declared_type_text(member) or NO_TYPE
-        elif member.node_type == "METHOD_DECL":
-            methods[name] = _declared_type_text(member) or NO_TYPE
-        elif member.node_type == "CONSTRUCTOR_DECL":
-            methods[name] = class_name or NO_TYPE
-    scope = Scope(bindings)
-
-    named = False
-    for child in node.children:
-        if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            child.resolved_type = class_name or NO_TYPE
-            named = True
-        elif child.node_type == "METHOD_DECL":
-            _annotate_callable(child, scope, methods,
-                               _declared_type_text(child) or NO_TYPE)
-        elif child.node_type == "CONSTRUCTOR_DECL":
-            _annotate_callable(child, scope, methods, class_name or NO_TYPE)
-        elif child.node_type == "FIELD_DECL":
-            _annotate(child, scope, methods,
-                      _declared_type_text(child) or NO_TYPE)
-        else:
-            _annotate(child, scope, methods)
-
-
-def _annotate_callable(node: AstNode, class_scope: Scope,
-                       methods: dict[str, str], decl_type: str) -> None:
-    scope = Scope({}, class_scope)
-    for child in node.children:
-        if child.node_type == "PARAMETER_LIST":
-            for param in child.children:
-                if param.node_type == "PARAMETER":
-                    name = _first_identifier_token(param)
-                    if name:
-                        scope.bindings[name] = _declared_type_text(param) or NO_TYPE
-    named = False
-    for child in node.children:
-        if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            child.resolved_type = decl_type
-            named = True
-        elif child.node_type == "PARAMETER_LIST":
-            for param in child.children:
-                if param.node_type == "PARAMETER":
-                    _annotate(param, scope, methods,
-                              _declared_type_text(param) or NO_TYPE)
-                else:
-                    _annotate(param, scope, methods)
-        else:
-            _annotate(child, scope, methods)
-
-
-def _annotate(root: AstNode, scope: Scope, methods: dict[str, str],
-              declared: str | None = None) -> None:
-    # entries are popped in preorder, so a local is bound before anything
-    # after its declaration resolves; `declared` is the type that a field,
-    # parameter or local gives its name, its first IDENTIFIER leaf child
-    stack = [(root, scope, declared)]
+            declared = name or NO_TYPE
+        top.append((child, declared))
+    # (node, scope, method return types, the type of its name leaf)
+    stack = [(child, Scope(dict(classes)), {}, declared)
+             for child, declared in reversed(top)]
     while stack:
-        node, scope, declared = stack.pop()
+        node, scope, methods, declared = stack.pop()
         node_type = node.node_type
         children = node.children
         if not children:
@@ -134,15 +69,20 @@ def _annotate(root: AstNode, scope: Scope, methods: dict[str, str],
                 node.resolved_type = _literal_type(node.token or "")
             continue
 
+        if node_type == "LOCAL_VAR_DECL":
+            declared = _declared_type_text(node) or NO_TYPE
+        if declared is not None:
+            name_leaf = node.name_leaf()
+            if name_leaf is not None:
+                name_leaf.resolved_type = declared
+                children = [child for child in children if child is not name_leaf]
+                if node_type == "LOCAL_VAR_DECL" and name_leaf.token:
+                    # visible from the declaration itself onward
+                    scope.bindings[name_leaf.token] = declared
+
         if node_type == "CODE_BLOCK" or node_type == "FOR_STMT":
             # a FOR_STMT's loop variable is scoped to the whole statement
             scope = Scope({}, scope)
-        elif node_type == "LOCAL_VAR_DECL":
-            declared = _declared_type_text(node) or NO_TYPE
-            name = _first_identifier_token(node)
-            if name:
-                # visible from the declaration itself onward
-                scope.bindings[name] = declared
         elif node_type == "REFERENCE_EXPR" or node_type == "METHOD_CALL":
             rest = []
             for i, child in enumerate(children):
@@ -159,13 +99,49 @@ def _annotate(root: AstNode, scope: Scope, methods: dict[str, str],
                 else:
                     rest.append(child)
             children = rest
-        if declared is not None:
-            name_leaf = next((child for child in children if child.is_leaf()
-                              and child.node_type == "IDENTIFIER"), None)
-            if name_leaf is not None:
-                name_leaf.resolved_type = declared
-                children = [child for child in children if child is not name_leaf]
-        stack.extend([(child, scope, None) for child in reversed(children)])
+        elif node_type == "CLASS_DECL":
+            # a class is only ever a child of the file, which gave it its name
+            # as `declared`; its members are bound before any is walked
+            methods = {}
+            tables = {"FIELD_DECL": scope.bindings, "METHOD_DECL": methods,
+                      "CONSTRUCTOR_DECL": methods}
+            entries = []
+            for member in children:
+                member_type = None
+                if member.node_type in tables:
+                    member_type = (declared
+                                   if member.node_type == "CONSTRUCTOR_DECL"
+                                   else _declared_type_text(member) or NO_TYPE)
+                    name = _first_identifier_token(member)
+                    if name:
+                        tables[member.node_type][name] = member_type
+                entries.append((member, scope, methods, member_type))
+            stack.extend(reversed(entries))
+            continue
+        elif declared is not None and (node_type == "METHOD_DECL"
+                                       or node_type == "CONSTRUCTOR_DECL"):
+            # a class member, given `declared` by its class: its parameters
+            # are bound before anything under it is walked, and its
+            # PARAMETER_LIST node itself has no effect
+            scope = Scope({}, scope)
+            entries = []
+            for child in children:
+                if child.node_type != "PARAMETER_LIST":
+                    entries.append((child, scope, methods, None))
+                    continue
+                for param in child.children:
+                    param_type = None
+                    if param.node_type == "PARAMETER":
+                        param_type = _declared_type_text(param) or NO_TYPE
+                        name = _first_identifier_token(param)
+                        if name:
+                            scope.bindings[name] = param_type
+                    entries.append((param, scope, methods, param_type))
+            stack.extend(reversed(entries))
+            continue
+        stack.extend([(child, scope, methods, None)
+                      for child in reversed(children)])
+    return tree
 
 
 def _literal_type(text: str) -> str:
@@ -183,10 +159,8 @@ def _literal_type(text: str) -> str:
 
 
 def _first_identifier_token(node: AstNode) -> str | None:
-    for child in node.children:
-        if child.is_leaf() and child.node_type == "IDENTIFIER":
-            return child.token
-    return None
+    name_leaf = node.name_leaf()
+    return name_leaf.token if name_leaf is not None else None
 
 
 def _declared_type_text(node: AstNode) -> str | None:

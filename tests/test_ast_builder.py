@@ -32,6 +32,17 @@ SOURCES["Scopes.java"] = """class Scopes {
     }
 }
 """
+# same-named parameters and fields of different types, and one name shared by
+# a field, a method and a constructor parameter
+SOURCES["Redeclared.java"] = """class Redeclared {
+    int size;
+    String size;
+    double value;
+    Redeclared(long value, int count) { count = value; }
+    boolean value(int x, String x) { return x + value; }
+    int use(char value) { value = value(value, size); return size; }
+}
+"""
 COMMENTS = ("LINE_COMMENT", "BLOCK_COMMENT")
 IGNORE_LISTS = {
     "default": DEFAULT_IGNORE_NAMES,
@@ -40,6 +51,8 @@ IGNORE_LISTS = {
     "class_decl": DEFAULT_IGNORE_NAMES + ("CLASS_DECL",),
     "method_decl": DEFAULT_IGNORE_NAMES + ("METHOD_DECL",),
     "parameter_list": DEFAULT_IGNORE_NAMES + ("PARAMETER_LIST",),
+    # methods spliced out: their names and parameters become class children
+    "members_hoisted": DEFAULT_IGNORE_NAMES + ("METHOD_DECL", "PARAMETER_LIST"),
     "paren_expr": DEFAULT_IGNORE_NAMES + ("PAREN_EXPR",),
     "paren_expr_only": ("PAREN_EXPR",),
     "declarations": ("LOCAL_VAR_DECL", "FIELD_DECL", "PARAMETER") + COMMENTS,

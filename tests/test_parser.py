@@ -365,7 +365,7 @@ def _assert_deep_method_is_kept(tmp_path, body, filters=()):
         filters=list(filters)))
     result = process_file(path, "Deep.java", config)
     assert result.error is None
-    assert len(result.units) == 1 and result.units[0].kept
+    assert len(result.units) == 1 and result.units[0].rejected_by is None
 
 
 def test_deeply_nested_parentheses_do_not_escape(tmp_path):
@@ -465,7 +465,7 @@ def test_3000_statement_method_is_kept(tmp_path, granularity, extractor):
         label_extractor={"name": extractor}))
     result = process_file(path, "Long.java", config)
     assert result.error is None
-    assert len(result.units) == 1 and result.units[0].kept
+    assert len(result.units) == 1 and result.units[0].rejected_by is None
     assert result.units[0].n_contexts > 0
 
 

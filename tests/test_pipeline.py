@@ -123,7 +123,7 @@ def test_process_file_happy(tmp_path):
     assert result.error is None
     assert result.relpath == "A.java"
     assert len(result.units) == 2
-    assert all(u.kept for u in result.units)
+    assert all(u.rejected_by is None for u in result.units)
     assert result.units[0].line.startswith("fib ")
 
 
@@ -232,6 +232,39 @@ def test_run_with_named_splits(tmp_path):
     assert stats.samples_written == 5
 
 
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_interrupted_run_leaves_the_previous_dataset(tmp_path, monkeypatch,
+                                                      parallelism):
+    in_dir = tmp_path / "in"
+    out_dir = tmp_path / "out"
+    write_files(in_dir, {
+        "train/p/A.java": RECURSIVE,
+        "val/B.java": CTOR,
+        "val/D.java": LOOSE,
+        "test/C.java": ABSTRACT,
+    })
+    config = validate_config(base_config(in_dir, out_dir,
+                                         parallelism=parallelism))
+    run(config, summary_sink=io.StringIO())
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(before) == ["dataset.test.c2s", "dataset.train.c2s",
+                              "dataset.val.c2s", "stats.json"]
+
+    # a second run would change every file, but stops in its second split
+    write_files(in_dir, {"train/p/E.java": LOOSE, "test/F.java": CTOR})
+    real_process_file = pipeline.process_file
+
+    def process_file(path, relpath, config):
+        if relpath == "D.java":
+            raise KeyboardInterrupt
+        return real_process_file(path, relpath, config)
+
+    monkeypatch.setattr(pipeline, "process_file", process_file)
+    with pytest.raises(KeyboardInterrupt):
+        run(config, summary_sink=io.StringIO())
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_run_missing_input_dir(tmp_path):
     config = validate_config(base_config(tmp_path / "absent",
                                          tmp_path / "out"))
@@ -291,7 +324,6 @@ def test_rejected_units_have_no_line(tmp_path):
         filters=[{"name": "abstract_method"}]))
     result = process_file(path, "C.java", config)
     unit = result.units[0]
-    assert not unit.kept
     assert unit.rejected_by == "abstract_method"
     assert unit.line is None
 

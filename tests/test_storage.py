@@ -205,7 +205,7 @@ def test_finalize_writes_summary_and_stats_file(tmp_path):
     stats.record_sample(4)
     stats.record_rejection("tree_size")
     sink = io.StringIO()
-    finalize(stats, sink, tmp_path)
+    finalize(stats, sink, tmp_path, [])
     text = sink.getvalue()
     assert text.startswith("run statistics:\n")
     assert "files seen:           3" in text
