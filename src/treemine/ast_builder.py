@@ -1,5 +1,8 @@
 """AST building: tokens plus parser markers to a simplified tree.
 
+`AstNode`'s accessors, as on PSI elements, are the one reader of a
+declaration's name, text, type and modifiers in every shape `build` leaves.
+
 `build` turns a file's token arrays and the parser's markers into its AST in
 one bottom-up pass, with no CST in between. It drops whitespace and any
 user-configured node kinds: ignored leaves (comments among them) go, and an
@@ -11,8 +14,9 @@ instead, flattening it back into tokens and markers first.
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .cst import (CST_KIND_NAMES, KIND_NAME, TOKEN_KINDS, CstKind, CstNode,
-                  Marker, SourceSpan, Tokens, TRIVIA_KINDS, new_span)
+from .cst import (COMMENT_KINDS, CST_KIND_NAMES, KIND_NAME, TOKEN_KINDS,
+                  CstKind, CstNode, Marker, SourceSpan, Tokens, TRIVIA_KINDS,
+                  new_span)
 from .errors import ConfigError
 
 # Kinds whose leaves are structural punctuation/keywords; dropped by default
@@ -22,6 +26,9 @@ DEFAULT_IGNORE_NAMES = ("PUNCTUATION", "KEYWORD", "OPERATOR")
 # When their token children get dropped, these collapse to a single leaf
 # carrying the source text, so the modifier word / type name stays available.
 _COLLAPSE_TO_LEAF = (CstKind.MODIFIER, CstKind.TYPE_REF)
+
+_COMMENT_NAMES = frozenset(KIND_NAME[kind] for kind in COMMENT_KINDS)
+_MODIFIER_NAMES = ("MODIFIER", "ANNOTATION")
 
 _OPERATOR_SUFFIXED = (CstKind.BINARY_EXPR, CstKind.UNARY_EXPR)
 
@@ -49,6 +56,30 @@ class AstNode:
             if not child.children and child.node_type == "IDENTIFIER":
                 return child
         return None
+
+    def name(self) -> str | None:
+        """The token of the name leaf, if there is one."""
+        name_leaf = self.name_leaf()
+        return name_leaf.token if name_leaf is not None else None
+
+    def text(self) -> str:
+        """The leaf tokens without comments; a collapsed leaf's own token."""
+        return "".join(leaf.token or "" for leaf in self.leaves()
+                       if leaf.node_type not in _COMMENT_NAMES)
+
+    def declared_type(self) -> str | None:
+        """The text() of the first TYPE_REF child: a declaration's type."""
+        return next((child.text() for child in self.children
+                     if child.node_type == "TYPE_REF"), None)
+
+    def modifiers(self) -> list["AstNode"]:
+        """The MODIFIER and ANNOTATION nodes, in MODIFIER_LIST or beside it."""
+        found = []
+        for child in self.children:
+            group = (child.children if child.node_type == "MODIFIER_LIST"
+                     else (child,))
+            found += [mod for mod in group if mod.node_type in _MODIFIER_NAMES]
+        return found
 
     def leaves(self) -> Iterator["AstNode"]:
         stack = [self]

@@ -3,7 +3,6 @@
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -32,11 +31,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     try:
-        config = load_config(args.config)
-        if args.parallelism is not None:
-            if args.parallelism < 1:
-                raise ConfigError("parallelism must be a positive integer")
-            config = replace(config, parallelism=args.parallelism)
+        config = load_config(args.config, parallelism=args.parallelism)
         if args.dry_run:
             _print_plan(config)
             return EXIT_OK
@@ -51,13 +46,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _print_plan(config) -> None:
-    if not config.input_dir.is_dir():
-        raise ConfigError(f"input_dir does not exist: {config.input_dir}")
+    splits = discover_splits(config.input_dir)
     print("dry run: configuration valid")
     print(f"format {config.storage_format}, granularity {config.granularity}, "
           f"extractor {config.extractor_name}, "
           f"parallelism {config.parallelism}")
-    for split_name, split_root in discover_splits(config.input_dir):
+    for split_name, split_root in splits:
         projects = discover_projects(split_root, config.source_extensions)
         total = sum(len(files) for _, files in projects)
         out_path = config.storage_spec().output_path(split_name)

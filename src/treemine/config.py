@@ -71,7 +71,10 @@ class PipelineConfig:
                            self.dataset_name)
 
 
-def load_config(path: Path) -> PipelineConfig:
+def load_config(path: Path, *,
+                parallelism: int | None = None) -> PipelineConfig:
+    """Load and validate a configuration file, as written and then with a
+    `parallelism` override if one is given."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -80,7 +83,10 @@ def load_config(path: Path) -> PipelineConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+    config = validate_config(raw)
+    if parallelism is None:
+        return config
+    return validate_config({**raw, "parallelism": parallelism})
 
 
 def validate_config(raw) -> PipelineConfig:

@@ -1,6 +1,10 @@
-"""Tree filters: uniform predicates deciding which units enter the dataset."""
+"""Tree filters: uniform predicates deciding which units enter the dataset.
 
-from dataclasses import dataclass
+Method filters read modifiers through `AstNode.modifiers()`, which also finds
+every annotation, because the grammar allows annotations nowhere else.
+"""
+
+from typing import NamedTuple
 
 from .ast_builder import AstNode, count_nodes
 from .cst import SourceSpan
@@ -13,8 +17,7 @@ FILTER_NAMES = ("tree_size", "code_lines", "abstract_method",
 METHOD_ONLY_FILTERS = ("abstract_method", "override_method", "constructor")
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(NamedTuple):
     name: str
     max_nodes: int | None = None
     min_nodes: int | None = None
@@ -48,30 +51,12 @@ def accept(tree: AstNode, span: SourceSpan | None, spec: FilterSpec) -> bool:
 
 def _is_abstract(tree: AstNode) -> bool:
     # abstract modifier, or no body at all (interface-style declaration)
-    for node in tree.children:
-        if node.node_type == "MODIFIER_LIST":
-            for mod in node.children:
-                if mod.node_type == "MODIFIER" and _modifier_word(mod) == "abstract":
-                    return True
-        elif node.node_type == "MODIFIER" and _modifier_word(node) == "abstract":
-            return True
-    has_body = any(c.node_type == "CODE_BLOCK" for c in tree.children)
-    return tree.node_type == "METHOD_DECL" and not has_body
-
-
-def _modifier_word(node: AstNode) -> str | None:
-    if node.is_leaf():
-        return node.token
-    for leaf in node.leaves():
-        if leaf.node_type == "KEYWORD":
-            return leaf.token
-    return None
+    return (any(mod.node_type == "MODIFIER" and mod.text() == "abstract"
+                for mod in tree.modifiers())
+            or (tree.node_type == "METHOD_DECL"
+                and all(c.node_type != "CODE_BLOCK" for c in tree.children)))
 
 
 def _has_override_annotation(tree: AstNode) -> bool:
-    for node in tree.preorder():
-        if node.node_type == "ANNOTATION":
-            for leaf in node.leaves():
-                if leaf.node_type == "IDENTIFIER" and leaf.token == "Override":
-                    return True
-    return False
+    return any(mod.node_type == "ANNOTATION" and mod.name() == "Override"
+               for mod in tree.modifiers())

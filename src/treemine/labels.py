@@ -7,7 +7,7 @@ Units must not overlap; method units of one file AST never do, because the
 grammar has no nested classes, anonymous classes or lambdas.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast_builder import AstNode
 from .errors import ConfigError
@@ -18,8 +18,7 @@ DEFAULT_NAME_TOKEN = "METHOD_NAME"
 DEFAULT_RECURSION_TOKEN = "SELF"
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(NamedTuple):
     label: str
     tree: AstNode
 

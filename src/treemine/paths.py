@@ -15,23 +15,21 @@ pairs first, draws the sample, and builds only the contexts it keeps.
 import hashlib
 import random
 import re
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .ast_builder import AstNode
 from .type_resolver import NO_TYPE
 
 
-@dataclass(frozen=True)
-class MinerLimits:
+class MinerLimits(NamedTuple):
     max_path_nodes: int = 9
     max_path_width: int = 2
     max_contexts: int = 200
     rng_seed: int = 0
 
 
-@dataclass(frozen=True)
-class PathContext:
+class PathContext(NamedTuple):
     start_token: tuple[str, ...]
     start_type: str
     path: tuple[str, ...]

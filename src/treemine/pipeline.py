@@ -9,6 +9,7 @@ fails or is interrupted leaves the previous dataset as it was.
 """
 
 import logging
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -50,6 +51,8 @@ class FileResult(NamedTuple):
 
 
 def discover_splits(input_dir: Path) -> list[tuple[str, Path]]:
+    if not input_dir.is_dir():
+        raise ConfigError(f"input_dir does not exist: {input_dir}")
     named = [(name, input_dir / name) for name in SPLIT_NAMES
              if (input_dir / name).is_dir()]
     if named:
@@ -137,19 +140,22 @@ def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatis
     I/O problems raise. A run that raises, or is interrupted, changes no
     file of `output_dir` and leaves no staging file behind.
     """
-    if not config.input_dir.is_dir():
-        raise ConfigError(f"input_dir does not exist: {config.input_dir}")
+    splits = discover_splits(config.input_dir)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     storage_spec = config.storage_spec()
     stats = RunStatistics()
     staged: list[Path] = []
     try:
         # one pool for the whole run; its map yields results in submission
-        # order, keeping output deterministic
-        with (ThreadPoolExecutor(max_workers=config.parallelism)
-              if config.parallelism > 1 else nullcontext()) as pool:
+        # order, keeping output deterministic. Map submits a whole project and
+        # the pool starts a thread per task, so it gets at most one per CPU.
+        workers = min(config.parallelism, len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+        with (ThreadPoolExecutor(max_workers=workers)
+              if workers > 1 else nullcontext()) as pool:
             map_files = pool.map if pool else map
-            for split_name, split_root in discover_splits(config.input_dir):
+            for split_name, split_root in splits:
                 out_path = storage_spec.output_path(split_name)
                 staged.append(out_path)
                 with open(staging_path(out_path), "w", encoding="utf-8",

@@ -9,7 +9,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .ast_builder import AstNode
 from .labels import LabeledTree
@@ -19,8 +19,7 @@ FORMATS = ("code2seq", "code2seq_typed", "jsonl_trees")
 STATS_FILE = "stats.json"
 
 
-@dataclass(frozen=True)
-class StorageSpec:
+class StorageSpec(NamedTuple):
     format: str
     output_dir: Path
     dataset_name: str

@@ -6,17 +6,15 @@ Resolution is single-file: class members are visible order-independently,
 locals only at and after their declaration, inner bindings shadow outer
 ones. The walk is one loop over an explicit stack, popped in preorder. Each
 entry carries its node's scope, the class's method return types, and the
-type its declarer gave its name leaf, so each declaration is read once.
+type its declarer gave its name leaf, so each declaration is read once,
+through the `AstNode` accessors `name()` and `declared_type()`.
 """
 
 from dataclasses import dataclass, field
 
 from .ast_builder import AstNode
-from .cst import COMMENT_KINDS
 
 NO_TYPE = "NO_TYPE"
-
-_COMMENT_TYPES = frozenset(kind.name for kind in COMMENT_KINDS)
 
 
 @dataclass
@@ -50,7 +48,7 @@ def annotate_types(tree: AstNode) -> AstNode:
     for child in tree.children:
         declared = None
         if child.node_type == "CLASS_DECL":
-            name = _first_identifier_token(child)
+            name = child.name()
             if name:
                 classes[name] = name
             declared = name or NO_TYPE
@@ -70,7 +68,7 @@ def annotate_types(tree: AstNode) -> AstNode:
             continue
 
         if node_type == "LOCAL_VAR_DECL":
-            declared = _declared_type_text(node) or NO_TYPE
+            declared = node.declared_type() or NO_TYPE
         if declared is not None:
             name_leaf = node.name_leaf()
             if name_leaf is not None:
@@ -111,8 +109,8 @@ def annotate_types(tree: AstNode) -> AstNode:
                 if member.node_type in tables:
                     member_type = (declared
                                    if member.node_type == "CONSTRUCTOR_DECL"
-                                   else _declared_type_text(member) or NO_TYPE)
-                    name = _first_identifier_token(member)
+                                   else member.declared_type() or NO_TYPE)
+                    name = member.name()
                     if name:
                         tables[member.node_type][name] = member_type
                 entries.append((member, scope, methods, member_type))
@@ -132,8 +130,8 @@ def annotate_types(tree: AstNode) -> AstNode:
                 for param in child.children:
                     param_type = None
                     if param.node_type == "PARAMETER":
-                        param_type = _declared_type_text(param) or NO_TYPE
-                        name = _first_identifier_token(param)
+                        param_type = param.declared_type() or NO_TYPE
+                        name = param.name()
                         if name:
                             scope.bindings[name] = param_type
                     entries.append((param, scope, methods, param_type))
@@ -156,22 +154,3 @@ def _literal_type(text: str) -> str:
     if text and (text[-1] in "fFdD" or any(c in ".eE" for c in text)):
         return "double"
     return "int"
-
-
-def _first_identifier_token(node: AstNode) -> str | None:
-    name_leaf = node.name_leaf()
-    return name_leaf.token if name_leaf is not None else None
-
-
-def _declared_type_text(node: AstNode) -> str | None:
-    for child in node.children:
-        if child.node_type == "TYPE_REF":
-            return _type_text(child)
-    return None
-
-
-def _type_text(type_ref: AstNode) -> str:
-    if type_ref.is_leaf():
-        return type_ref.token or ""
-    return "".join(leaf.token or "" for leaf in type_ref.leaves()
-                   if leaf.node_type not in _COMMENT_TYPES)

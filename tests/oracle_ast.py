@@ -4,14 +4,18 @@ This is the earlier, recursive form of `build_ast` (one `_convert` call per
 CST node, bottom up) and of `annotate_types` (one `_annotate` call per AST
 node). The production code walks the same trees with explicit stacks, so
 agreement on the same inputs checks the order of those walks. The leaf-level
-helpers (scope lookup, literal types, declared-type text) are shared, not
-copied: they contain no tree walk.
+helpers (scope lookup, literal types) and the `AstNode` declaration
+accessors (`name()`, `declared_type()`) are shared, not copied: they read
+one declaration and walk no tree.
+
+The method filters' earlier readers are kept as well: they find modifiers
+in both shapes a modifier list can take and search a whole unit for an
+`@Override` annotation, so they check `AstNode.modifiers()`.
 """
 
 from treemine.ast_builder import AstNode
 from treemine.cst import COMMENT_KINDS, KIND_NAME, TRIVIA_KINDS, CstKind
-from treemine.type_resolver import (NO_TYPE, Scope, _declared_type_text,
-                                    _first_identifier_token, _literal_type,
+from treemine.type_resolver import (NO_TYPE, Scope, _literal_type,
                                     resolve_identifier)
 
 _COLLAPSE_TO_LEAF = (CstKind.MODIFIER, CstKind.TYPE_REF)
@@ -89,7 +93,7 @@ def oracle_annotate_types(tree):
     classes = {}
     for child in tree.children:
         if child.node_type == "CLASS_DECL":
-            name = _first_identifier_token(child)
+            name = child.name()
             if name:
                 classes[name] = name
     for child in tree.children:
@@ -101,17 +105,17 @@ def oracle_annotate_types(tree):
 
 
 def _annotate_class(node, classes):
-    class_name = _first_identifier_token(node)
+    class_name = node.name()
     bindings = dict(classes)
     methods = {}
     for member in node.children:
-        name = _first_identifier_token(member)
+        name = member.name()
         if not name:
             continue
         if member.node_type == "FIELD_DECL":
-            bindings[name] = _declared_type_text(member) or NO_TYPE
+            bindings[name] = member.declared_type() or NO_TYPE
         elif member.node_type == "METHOD_DECL":
-            methods[name] = _declared_type_text(member) or NO_TYPE
+            methods[name] = member.declared_type() or NO_TYPE
         elif member.node_type == "CONSTRUCTOR_DECL":
             methods[name] = class_name or NO_TYPE
     scope = Scope(bindings)
@@ -123,12 +127,12 @@ def _annotate_class(node, classes):
             named = True
         elif child.node_type == "METHOD_DECL":
             _annotate_callable(child, scope, methods,
-                               _declared_type_text(child) or NO_TYPE)
+                               child.declared_type() or NO_TYPE)
         elif child.node_type == "CONSTRUCTOR_DECL":
             _annotate_callable(child, scope, methods, class_name or NO_TYPE)
         elif child.node_type == "FIELD_DECL":
             _annotate_declarator(child, scope, methods,
-                                 _declared_type_text(child) or NO_TYPE)
+                                 child.declared_type() or NO_TYPE)
         else:
             _annotate(child, scope, methods)
 
@@ -139,9 +143,9 @@ def _annotate_callable(node, class_scope, methods, decl_type):
         if child.node_type == "PARAMETER_LIST":
             for param in child.children:
                 if param.node_type == "PARAMETER":
-                    name = _first_identifier_token(param)
+                    name = param.name()
                     if name:
-                        scope.bindings[name] = _declared_type_text(param) or NO_TYPE
+                        scope.bindings[name] = param.declared_type() or NO_TYPE
     named = False
     for child in node.children:
         if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
@@ -151,7 +155,7 @@ def _annotate_callable(node, class_scope, methods, decl_type):
             for param in child.children:
                 if param.node_type == "PARAMETER":
                     _annotate_declarator(param, scope, methods,
-                                         _declared_type_text(param) or NO_TYPE)
+                                         param.declared_type() or NO_TYPE)
                 else:
                     _annotate(param, scope, methods)
         else:
@@ -183,8 +187,8 @@ def _annotate(node, scope, methods):
         # a FOR_STMT's loop variable is scoped to the whole statement
         scope = Scope({}, scope)
     elif base == "LOCAL_VAR_DECL":
-        decl_type = _declared_type_text(node) or NO_TYPE
-        name = _first_identifier_token(node)
+        decl_type = node.declared_type() or NO_TYPE
+        name = node.name()
         if name:
             # visible from the declaration itself onward
             scope.bindings[name] = decl_type
@@ -207,3 +211,36 @@ def _annotate(node, scope, methods):
 
     for child in node.children:
         _annotate(child, scope, methods)
+
+
+# -- filters.abstract_method and filters.override_method --------------------
+
+def oracle_is_abstract(tree):
+    # abstract modifier, or no body at all (interface-style declaration)
+    for node in tree.children:
+        if node.node_type == "MODIFIER_LIST":
+            for mod in node.children:
+                if mod.node_type == "MODIFIER" and _modifier_word(mod) == "abstract":
+                    return True
+        elif node.node_type == "MODIFIER" and _modifier_word(node) == "abstract":
+            return True
+    has_body = any(c.node_type == "CODE_BLOCK" for c in tree.children)
+    return tree.node_type == "METHOD_DECL" and not has_body
+
+
+def _modifier_word(node):
+    if node.is_leaf():
+        return node.token
+    for leaf in node.leaves():
+        if leaf.node_type == "KEYWORD":
+            return leaf.token
+    return None
+
+
+def oracle_has_override_annotation(tree):
+    for node in tree.preorder():
+        if node.node_type == "ANNOTATION":
+            for leaf in node.leaves():
+                if leaf.node_type == "IDENTIFIER" and leaf.token == "Override":
+                    return True
+    return False

@@ -10,12 +10,15 @@ from treemine import (ConfigError, annotate_types, build_ast, count_nodes,
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList
 from treemine.ast_builder import build as build_from_markers
 from treemine.cst import CST_KIND_NAMES
+from treemine.filters import FilterSpec, accept
+from treemine.granularity import split
 from treemine.lexer import scan
 from treemine.parser import parse
 
 from conftest import (CORPUS_DIR, GOLDEN_DIR, RECURSIVE_DIR, build, find_all,
                       find_one, leaf_tokens)
-from oracle_ast import oracle_annotate_types, oracle_build_ast
+from oracle_ast import (oracle_annotate_types, oracle_build_ast,
+                        oracle_has_override_annotation, oracle_is_abstract)
 
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.java"))
 # every parseable fixture and every golden input, plus locals whose
@@ -60,6 +63,8 @@ IGNORE_LISTS = {
         "CODE_BLOCK", "REFERENCE_EXPR", "METHOD_CALL", "ARGUMENT_LIST"),
     "types_and_modifiers": ("TYPE_REF", "MODIFIER_LIST", "MODIFIER",
                             "ANNOTATION", "KEYWORD"),
+    # modifiers and annotations hoisted beside the rest of a declaration
+    "modifier_list": DEFAULT_IGNORE_NAMES + ("MODIFIER_LIST",),
 }
 
 
@@ -270,6 +275,10 @@ def _markers(name):
     return tokens, parse(tokens)
 
 
+ABSTRACT = FilterSpec("abstract_method")
+OVERRIDE = FilterSpec("override_method")
+
+
 def _assert_matches_recursive_reference(names):
     ignore = IgnoreList.from_names(names)
     for name in SOURCES:
@@ -282,6 +291,11 @@ def _assert_matches_recursive_reference(names):
             assert [n.span for n in built.preorder()] == spans, name
             assert annotate_types(built) == oracle_annotate_types(
                 expected), name
+            for unit in split(built, "method"):
+                assert accept(unit, None, ABSTRACT) != oracle_is_abstract(
+                    unit), name
+                assert accept(unit, None, OVERRIDE) != \
+                    oracle_has_override_annotation(unit), name
 
 
 @pytest.mark.parametrize("names", IGNORE_LISTS.values(), ids=IGNORE_LISTS)

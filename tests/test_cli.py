@@ -47,6 +47,18 @@ def test_bad_parallelism_override(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_parallelism_override_is_checked_with_the_file(tmp_path, capsys):
+    # a bad configured value is reported even when the flag replaces it
+    config_path = setup_run(tmp_path, parallelism=0)
+    code = main(["--config", str(config_path), "--parallelism", "3"])
+    assert code == EXIT_CONFIG
+    assert "parallelism must be a positive integer" in capsys.readouterr().err
+    config_path = setup_run(tmp_path)
+    assert main(["--config", str(config_path), "--parallelism", "3",
+                 "--dry-run"]) == EXIT_OK
+    assert "parallelism 3" in capsys.readouterr().out
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "none.json")])
     assert code == EXIT_CONFIG
@@ -67,6 +79,15 @@ def test_missing_input_dir_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["--config", str(path)]) == EXIT_CONFIG
     assert "input_dir does not exist" in capsys.readouterr().err
+
+
+def test_dry_run_with_missing_input_dir_prints_no_plan(tmp_path, capsys):
+    cfg = base_config(tmp_path / "absent", tmp_path / "out")
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", str(path), "--dry-run"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "input_dir does not exist" in captured.err
+    assert captured.out == ""
 
 
 def test_ignore_list_hiding_method_names_exits_before_any_output(

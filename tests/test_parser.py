@@ -129,6 +129,17 @@ def test_modifiers_and_annotations():
     assert shape.count(CstKind.ANNOTATION) == 1
 
 
+# the override filter reads annotations from a member's modifiers only
+@pytest.mark.parametrize("source", [
+    "@X class A { }",
+    "class A { void f(@X int a) { } }",
+    "class A { void f() { @X int a; } }",
+], ids=["class", "parameter", "statement"])
+def test_annotations_only_start_members(source):
+    with pytest.raises(ParseError):
+        parse_file(source)
+
+
 def test_extends_and_implements():
     root = parse_file("class A extends B implements C, D { }")
     class_decl = next(c for c in root.children

@@ -2,16 +2,24 @@ import importlib.util
 import io
 import json
 import logging
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treemine import (ConfigError, CstNode, parse_file, pipeline, run,
                       validate_config)
+from treemine.cli import EXIT_OK, main
+from treemine.parser import MAX_NESTING
 from treemine.pipeline import (LOOSE_PROJECT, SPLIT_NAMES, discover_projects,
                                discover_splits, process_file)
 
-from conftest import FIXTURES, GOLDEN_DIR, base_config, write_files
+from conftest import (CORPUS_DIR, FIXTURES, GOLDEN_DIR, base_config,
+                      write_config, write_files)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -316,6 +324,36 @@ def test_parallel_output_identical(tmp_path):
     assert outputs[1]
 
 
+def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # the fake pool records its size and maps in the calling thread, so no
+    # thread starts however many workers are asked for
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    outputs = []
+    for parallelism in (1, 10**6):
+        (tmp_path / str(parallelism)).mkdir()
+        _, out_dir = run_config(tmp_path / str(parallelism),
+                                parallelism=parallelism)
+        outputs.append((out_dir / "dataset.data.c2s").read_bytes())
+    assert sizes == [3]
+    assert outputs[0] == outputs[1]
+
+
 def test_rejected_units_have_no_line(tmp_path):
     path = tmp_path / "C.java"
     path.write_text(ABSTRACT, encoding="utf-8")
@@ -418,3 +456,76 @@ def test_only_typed_formats_annotate_types(tmp_path, monkeypatch, storage):
     else:
         assert result.error == "internal: RuntimeError: types annotated"
         assert result.units == []
+
+
+# -- whole-run fuzz ------------------------------------------------------------
+
+def _probe_method(body):
+    return (f"class P {{ int p(int x) {{ int y = 0; {body} return y; }} }}\n"
+            .encode())
+
+
+_FUZZ_FILES = st.one_of(
+    st.sampled_from(sorted(CORPUS_DIR.glob("*.java"))).map(Path.read_bytes),
+    # nesting around the parser's limit
+    st.integers(MAX_NESTING - 3, MAX_NESTING + 30).map(
+        lambda n: _probe_method("y = " + "(" * n + "x" + ")" * n + ";")),
+    st.integers(MAX_NESTING - 3, MAX_NESTING + 30).map(
+        lambda n: _probe_method("{ " * n + "y = 1;" + " }" * n)),
+    # long chains
+    st.integers(1, 1500).map(
+        lambda n: _probe_method("y = " + " + ".join(["x"] * n) + ";")),
+    st.integers(1, 300).map(
+        lambda n: _probe_method("y = x" + ".next()" * n + ";")),
+    st.integers(1, 200).map(lambda n: _probe_method(" else ".join(
+        f"if (x == {i}) {{ y = {i}; }}" for i in range(n)))),
+    st.binary(max_size=300),
+    # invalid UTF-8 in an otherwise valid file
+    st.binary(max_size=20).map(lambda b: b"class A { } // " + b + b"\xc3("),
+    st.just(b""),
+)
+
+_FUZZ_SHAPES = [
+    {"storage": {"format": "code2seq"}},
+    {"storage": {"format": "code2seq_typed"},
+     "filters": [{"name": "abstract_method"}, {"name": "override_method"},
+                 {"name": "tree_size", "parameters": {"max_nodes": 400}}]},
+    {"storage": {"format": "jsonl_trees"}, "granularity": "file",
+     "label_extractor": {"name": "none"}},
+]
+
+# one file in every corpus is unreadable; root may read a chmod 000 file, so
+# the read itself is made to fail
+_LOCKED = "locked.java"
+_read_text = Path.read_text
+
+
+def _read_text_unless_locked(path, *args, **kwargs):
+    if path.name == _LOCKED:
+        raise PermissionError(13, "Permission denied", str(path))
+    return _read_text(path, *args, **kwargs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _FUZZ_FILES), max_size=8),
+       st.sampled_from(_FUZZ_SHAPES), st.sampled_from([1, 2]))
+def test_no_corpus_breaks_a_run(files, shape, parallelism):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(Path, "read_text", _read_text_unless_locked):
+        tmp = Path(tmp)
+        (tmp / "in").mkdir()
+        # project 0 holds the loose files of the split root
+        for i, (project, data) in enumerate(files):
+            folder = tmp / "in" / (f"p{project}" if project else "")
+            folder.mkdir(exist_ok=True)
+            (folder / f"F{i}.java").write_bytes(data)
+        (tmp / "in" / _LOCKED).write_bytes(b"class L { }")
+        cfg = base_config(tmp / "in", tmp / "out", parallelism=parallelism,
+                          **shape)
+        stats = run(validate_config(cfg), summary_sink=io.StringIO())
+        assert stats.files_parsed + stats.parse_failures == stats.files_seen
+        assert stats.files_seen == len(files) + 1
+        assert stats.parse_failures >= 1
+
+        assert main(["--config", str(write_config(tmp, cfg))]) == EXIT_OK
+        assert not list((tmp / "out").glob("*.partial"))
