@@ -1,6 +1,6 @@
 """treemine: mine ML-ready path-context and tree datasets from source code."""
 
-from .ast_builder import AstNode, IgnoreList, build_ast, count_nodes
+from .ast_builder import AstNode, build_ast, count_nodes
 from .cst import CstKind, CstNode, SourceSpan
 from .errors import ConfigError, LexError, ParseError
 from .filters import FilterSpec, accept
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AstNode", "ConfigError", "CstKind", "CstNode", "FilterSpec",
-    "IgnoreList", "LabeledTree", "LexError", "MinerLimits", "NO_TYPE",
+    "LabeledTree", "LexError", "MinerLimits", "NO_TYPE",
     "ParseError", "PathContext", "PipelineConfig", "RunStatistics", "Scope",
     "SourceSpan", "StorageSpec", "accept", "annotate_types", "build_ast",
     "count_nodes", "enumerate_paths",

@@ -4,20 +4,20 @@
 declaration's name, text, type and modifiers in every shape `build` leaves.
 
 `build` turns a file's token arrays and the parser's markers into its AST in
-one bottom-up pass, with no CST in between. It drops whitespace and any
-user-configured node kinds: ignored leaves (comments among them) go, and an
-ignored internal kind is spliced out node-wise, its children hoisted into
-the parent. Every span comes from the token arrays. `build_ast` takes a CST
-instead, flattening it back into tokens and markers first.
+one bottom-up pass, with no CST in between. A kind is the string of its name,
+so it becomes the `node_type` as it is. `build` drops whitespace and the
+kinds in the ignore set, a plain set of kind names: ignored leaves (comments
+among them) go, and an ignored internal kind is spliced out node-wise, its
+children hoisted into the parent. Every span comes from the token arrays.
+`build_ast` takes a CST instead, flattening it back into tokens and markers
+first.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .cst import (COMMENT_KINDS, CST_KIND_NAMES, KIND_NAME, TOKEN_KINDS,
-                  CstKind, CstNode, Marker, SourceSpan, Tokens, TRIVIA_KINDS,
-                  new_span)
-from .errors import ConfigError
+from .cst import (COMMENT_KINDS, TOKEN_KINDS, CstKind, CstNode, Marker,
+                  SourceSpan, Tokens, TRIVIA_KINDS, new_span)
 
 # Kinds whose leaves are structural punctuation/keywords; dropped by default
 # because their information lives in the parent node_type.
@@ -27,7 +27,6 @@ DEFAULT_IGNORE_NAMES = ("PUNCTUATION", "KEYWORD", "OPERATOR")
 # carrying the source text, so the modifier word / type name stays available.
 _COLLAPSE_TO_LEAF = (CstKind.MODIFIER, CstKind.TYPE_REF)
 
-_COMMENT_NAMES = frozenset(KIND_NAME[kind] for kind in COMMENT_KINDS)
 _MODIFIER_NAMES = ("MODIFIER", "ANNOTATION")
 
 _OPERATOR_SUFFIXED = (CstKind.BINARY_EXPR, CstKind.UNARY_EXPR)
@@ -65,7 +64,7 @@ class AstNode:
     def text(self) -> str:
         """The leaf tokens without comments; a collapsed leaf's own token."""
         return "".join(leaf.token or "" for leaf in self.leaves()
-                       if leaf.node_type not in _COMMENT_NAMES)
+                       if leaf.node_type not in COMMENT_KINDS)
 
     def declared_type(self) -> str | None:
         """The text() of the first TYPE_REF child: a declaration's type."""
@@ -98,27 +97,14 @@ class AstNode:
             stack.extend(reversed(node.children))
 
 
-class IgnoreList(NamedTuple):
-    node_kinds: frozenset[CstKind]
-
-    @classmethod
-    def from_names(cls, names) -> "IgnoreList":
-        names = list(names)
-        unknown = sorted(set(n for n in names if n not in CST_KIND_NAMES))
-        if unknown:
-            raise ConfigError(
-                "unknown node kinds in ignore list: " + ", ".join(unknown))
-        return cls(frozenset(CstKind[n] for n in names))
-
-
-def build_ast(root: CstNode, ignore: IgnoreList) -> AstNode:
+def build_ast(root: CstNode, ignore: frozenset[str]) -> AstNode:
     """Simplify a FILE-rooted CST into an AST.
 
     Flattens the CST back into tokens and markers, then builds as `build`.
     """
-    if root.kind is not CstKind.FILE:
-        raise ValueError(f"expected FILE root, got {root.kind.name}")
-    kinds: list[CstKind] = []
+    if root.kind != CstKind.FILE:
+        raise ValueError(f"expected FILE root, got {root.kind}")
+    kinds: list[str] = []
     texts: list[str] = []
     lines: list[int] = []
     offsets: list[int] = []
@@ -147,7 +133,8 @@ def build_ast(root: CstNode, ignore: IgnoreList) -> AstNode:
     return build(Tokens(kinds, texts, lines, offsets), markers, ignore)
 
 
-def build(tokens: Tokens, markers: list[Marker], ignore: IgnoreList) -> AstNode:
+def build(tokens: Tokens, markers: list[Marker],
+          ignore: frozenset[str]) -> AstNode:
     """Build the AST of a file from its tokens and parser markers.
 
     One pass over the markers, which come in postorder, so each node meets
@@ -157,7 +144,7 @@ def build(tokens: Tokens, markers: list[Marker], ignore: IgnoreList) -> AstNode:
     """
     kinds, texts, lines, offsets = tokens
     span = tokens.span
-    drop = (ignore.node_kinds | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
+    drop = (ignore | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
     # (first, end, AST nodes) of completed nodes whose parent is still open;
     # a dropped node leaves its children, a removed one nothing
     done: list[tuple[int, int, list[AstNode]]] = []
@@ -170,7 +157,7 @@ def build(tokens: Tokens, markers: list[Marker], ignore: IgnoreList) -> AstNode:
             if any(kinds[i] in drop for i in significant):
                 text = "".join(texts[i] for i in significant)
                 done.append((first, end, [AstNode(
-                    KIND_NAME[kind], text, None, [], span(first, end))]
+                    kind, text, None, [], span(first, end))]
                     if text else []))
                 continue
         # the node's own tokens lie in the gaps around its child nodes
@@ -184,21 +171,21 @@ def build(tokens: Tokens, markers: list[Marker], ignore: IgnoreList) -> AstNode:
                 if token_kind not in drop:
                     # tokens.span(i, i + 1), inlined: one per leaf
                     children.append(AstNode(
-                        KIND_NAME[token_kind], texts[i], None, [],
+                        token_kind, texts[i], None, [],
                         new_span(SourceSpan, (
                             offsets[i], offsets[i + 1], lines[i],
                             lines[i + 1] - (texts[i][-1] == "\n")))))
-                elif token_kind is CstKind.OPERATOR and op is None:
+                elif token_kind == CstKind.OPERATOR and op is None:
                     op = texts[i]
             children += nodes
             pos = child_end
         if kind in drop:
             # node-wise removal: the node goes, its children take its place
             done.append((first, end, children))
-        elif kind is CstKind.PAREN_EXPR and len(children) == 1:
+        elif kind == CstKind.PAREN_EXPR and len(children) == 1:
             done.append((first, end, children))
-        elif children or kind is CstKind.FILE:
-            node_type = KIND_NAME[kind]
+        elif children or kind == CstKind.FILE:
+            node_type = kind
             if op and kind in _OPERATOR_SUFFIXED:
                 node_type = f"{node_type}:{op}"
             done.append((first, end, [AstNode(node_type, None, None, children,

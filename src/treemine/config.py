@@ -10,8 +10,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList
-from .cst import CstKind
+from .ast_builder import DEFAULT_IGNORE_NAMES
+from .cst import CST_KIND_NAMES, CstKind
 from .errors import ConfigError
 from .filters import FILTER_NAMES, METHOD_ONLY_FILTERS, FilterSpec
 from .granularity import GRANULARITY_LEVELS
@@ -56,7 +56,7 @@ class PipelineConfig:
     output_dir: Path
     dataset_name: str
     source_extensions: tuple[str, ...]
-    ignore: IgnoreList
+    ignore: frozenset[str]
     granularity: str
     filters: tuple[FilterSpec, ...]
     extractor_name: str
@@ -111,17 +111,20 @@ def validate_config(raw) -> PipelineConfig:
         extensions = [".java"]
 
     ignore_names = raw.get("ignore_node_kinds", list(DEFAULT_IGNORE_NAMES))
-    ignore = IgnoreList(frozenset())
+    ignore = frozenset()
     if not isinstance(ignore_names, list) or not all(
             isinstance(n, str) for n in ignore_names):
         problems.append("ignore_node_kinds must be a list of node kind names")
     else:
         if "FILE" in ignore_names:
             problems.append("FILE cannot be ignored: it is the tree root")
-        try:
-            ignore = IgnoreList.from_names(n for n in ignore_names if n != "FILE")
-        except ConfigError as exc:
-            problems.extend(exc.problems)
+        names = frozenset(ignore_names) - {"FILE"}
+        unknown = sorted(names - CST_KIND_NAMES)
+        if unknown:
+            problems.append("unknown node kinds in ignore list: "
+                            + ", ".join(unknown))
+        else:
+            ignore = names
 
     granularity = raw.get("granularity")
     if granularity not in GRANULARITY_LEVELS:
@@ -147,7 +150,7 @@ def validate_config(raw) -> PipelineConfig:
                 *("filter " + spec.name for spec in filters)}
     problems.extend(f"{feature}: {problem}"
                     for feature, kinds, problem in _IGNORE_CONFLICTS
-                    if feature in features and kinds <= ignore.node_kinds)
+                    if feature in features and kinds <= ignore)
     method_only = [s.name for s in filters if s.name in METHOD_ONLY_FILTERS]
     if method_only and granularity != "method":
         problems.append("filters requiring method granularity: "

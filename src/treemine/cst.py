@@ -4,21 +4,22 @@ The lexer scans a file into `Tokens`: parallel lists of kind, text, start
 line and UTF-8 byte offset, with no object per token. The parser marks node
 ranges over those lists, and both trees are built from tokens plus markers.
 
+A node kind is the string of its own name, `CstKind.BINARY_EXPR ==
+"BINARY_EXPR"`, from the lexer to the AST's `node_type` and the output.
+Strings hash by content, which varies between runs, so no output may depend
+on the order of a set of kinds.
+
 A CST is lossless: every byte of the source file, including whitespace,
 punctuation and comments, lives in exactly one leaf, and concatenating the
 leaf texts in order reproduces the file.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator, NamedTuple
 
 
-class CstKind(Enum):
-    # Members are singletons compared by identity; hashing by identity too
-    # keeps the kind-set lookups in every tree walk out of Enum.__hash__,
-    # which is written in Python. No output depends on a set's order.
-    __hash__ = object.__hash__
+class CstKind:
+    """Every node kind, each the string of its own name."""
 
     FILE = "FILE"
     CLASS_DECL = "CLASS_DECL"
@@ -74,9 +75,8 @@ COMMENT_KINDS = frozenset({CstKind.LINE_COMMENT, CstKind.BLOCK_COMMENT})
 # Token kinds that structure-building skips over (they still become leaves).
 TRIVIA_KINDS = frozenset({CstKind.WHITE_SPACE}) | COMMENT_KINDS
 
-# `CstKind.name` is a Python-level property; tree walks look names up here.
-KIND_NAME = {kind: kind.name for kind in CstKind}
-CST_KIND_NAMES = frozenset(KIND_NAME.values())
+CST_KIND_NAMES = frozenset(
+    value for name, value in vars(CstKind).items() if not name.startswith("_"))
 
 
 class SourceSpan(NamedTuple):
@@ -103,7 +103,7 @@ class Tokens(NamedTuple):
     line and the byte offset just past the last token.
     """
 
-    kinds: list[CstKind]
+    kinds: list[str]
     texts: list[str]
     lines: list[int]  # 1-based line each token starts on
     offsets: list[int]  # UTF-8 byte offset each token starts at
@@ -131,12 +131,12 @@ class Tokens(NamedTuple):
 
 # A node the parser marked: (kind, first token, end token, child-node count).
 # Token indices count trivia and the range is half-open.
-Marker = tuple[CstKind, int, int, int]
+Marker = tuple[str, int, int, int]
 
 
 @dataclass(slots=True)
 class CstNode:
-    kind: CstKind
+    kind: str
     span: SourceSpan
     text: str | None = None
     children: list["CstNode"] = field(default_factory=list)

@@ -83,13 +83,13 @@ def scan(source: str) -> Tokens:
     Raises LexError on any character admissible in no token, on unterminated
     string/char literals, and on unterminated block comments.
     """
-    kinds: list[CstKind] = []
+    kinds: list[str] = []
     texts: list[str] = []
     match = None
     for match in iter(_TOKEN_RE.scanner(source).match, None):
         text = match.group()
         kind = _GROUP_KINDS.get(match.lastgroup)
-        if kind is CstKind.IDENTIFIER:
+        if kind == CstKind.IDENTIFIER:
             kind = _WORD_KINDS.get(text, kind)
         elif kind is None:
             _fail(source, match.start(), _UNTERMINATED[match.lastgroup])

@@ -116,7 +116,7 @@ class _Parser:
 
     # -- token stream and node stack ------------------------------------------
 
-    def _peek(self, offset: int = 0) -> tuple[CstKind | None, str | None]:
+    def _peek(self, offset: int = 0) -> tuple[str | None, str | None]:
         """The (offset+1)-th significant token ahead, as (kind, text)."""
         return self._sig[self._pos + offset]
 
@@ -160,7 +160,7 @@ class _Parser:
         else:
             self._counts.append(0)
 
-    def _close(self, kind: CstKind) -> None:
+    def _close(self, kind: str) -> None:
         first = self._firsts.pop()
         start = self._index[first]
         # an empty node is zero-width at the next significant token
@@ -171,14 +171,11 @@ class _Parser:
         self._last_is_node = True
 
     def _fail(self, expected: str):
+        # at end of file, `index` is just past the last token
         kind, text = self._peek()
-        if kind is None:
-            end = len(self.tokens.texts)
-            raise ParseError(self.tokens.span(end, end).line_start, 1,
-                             expected, "end of file")
         index = self._index[self._pos]
         raise ParseError(self.tokens.lines[index], self._column(index),
-                         expected, repr(text))
+                         expected, "end of file" if kind is None else repr(text))
 
     def _column(self, index: int) -> int:
         """1-based character column where token `index` starts."""
@@ -197,10 +194,10 @@ class _Parser:
             kind, text = self._peek()
             if kind is None:
                 break
-            if kind is CstKind.KEYWORD and (
+            if kind == CstKind.KEYWORD and (
                     text == "class" or text in MODIFIER_KEYWORDS):
                 self._class_decl()
-            elif kind is CstKind.IDENTIFIER and text in ("package", "import"):
+            elif kind == CstKind.IDENTIFIER and text in ("package", "import"):
                 # header lines are kept as raw leaf tokens, not parsed
                 while not self._at(";"):
                     if self._peek_text() is None:
@@ -244,7 +241,7 @@ class _Parser:
             kind, text = self._peek()
             if kind is None:
                 break
-            if kind is CstKind.KEYWORD and text in MODIFIER_KEYWORDS:
+            if kind == CstKind.KEYWORD and text in MODIFIER_KEYWORDS:
                 self._open()
                 self._advance()
                 self._close(CstKind.MODIFIER)
@@ -261,7 +258,7 @@ class _Parser:
         self._open()
         self._modifier_list(allow_annotations=True)
         kind, text = self._peek()
-        if (kind is CstKind.IDENTIFIER and text == class_name
+        if (kind == CstKind.IDENTIFIER and text == class_name
                 and self._peek_text(1) == "("):
             self._advance()
             self._list(CstKind.PARAMETER_LIST, self._parameter)
@@ -290,9 +287,9 @@ class _Parser:
     def _type_ref(self) -> None:
         self._open()
         kind, text = self._peek()
-        if kind is CstKind.KEYWORD and text in _TYPE_START_KEYWORDS:
+        if kind == CstKind.KEYWORD and text in _TYPE_START_KEYWORDS:
             self._advance()
-        elif kind is CstKind.IDENTIFIER:
+        elif kind == CstKind.IDENTIFIER:
             self._advance()
             while self._at(".") and self._is_identifier(1):
                 self._advance()
@@ -316,7 +313,7 @@ class _Parser:
             self._advance()
         self._close(CstKind.TYPE_REF)
 
-    def _list(self, kind: CstKind, item) -> None:
+    def _list(self, kind: str, item) -> None:
         """'(' (item (',' item)*)? ')': a parameter or an argument list."""
         self._open()
         self._expect("(")
@@ -354,7 +351,7 @@ class _Parser:
         kind, text = self._peek()
         if kind is None:
             self._fail("statement")
-        keyword = text if kind is CstKind.KEYWORD else None
+        keyword = text if kind == CstKind.KEYWORD else None
         if keyword == "if":
             self._if_stmt()
         elif keyword == "while":
@@ -377,9 +374,9 @@ class _Parser:
         # A primitive type keyword, or IDENT ('.' IDENT)* ('<' balanced '>')?
         # ('[' ']')* IDENT, marks a local variable declaration.
         kind, text = self._peek()
-        if kind is CstKind.KEYWORD:
+        if kind == CstKind.KEYWORD:
             return text in PRIMITIVE_TYPE_KEYWORDS
-        if kind is not CstKind.IDENTIFIER:
+        if kind != CstKind.IDENTIFIER:
             return False
         j = 1
         while self._peek_text(j) == "." and self._is_identifier(j + 1):
@@ -395,9 +392,9 @@ class _Parser:
                     depth += 1
                 elif text == ">":
                     depth -= 1
-                elif not (kind is CstKind.IDENTIFIER
+                elif not (kind == CstKind.IDENTIFIER
                           or text in (",", ".", "[", "]")
-                          or (kind is CstKind.KEYWORD
+                          or (kind == CstKind.KEYWORD
                               and text in PRIMITIVE_TYPE_KEYWORDS)):
                     return False
                 j += 1
@@ -406,7 +403,7 @@ class _Parser:
         return self._is_identifier(j)
 
     def _is_identifier(self, offset: int = 0) -> bool:
-        return self._sig[self._pos + offset][0] is CstKind.IDENTIFIER
+        return self._sig[self._pos + offset][0] == CstKind.IDENTIFIER
 
     def _local_var_decl(self) -> None:
         self._open()
@@ -546,10 +543,10 @@ class _Parser:
 
     def _primary(self) -> None:
         kind, text = self._peek()
-        if kind is CstKind.LITERAL:
+        if kind == CstKind.LITERAL:
             # a bare leaf of the enclosing expression
             self._advance()
-        elif kind is CstKind.IDENTIFIER:
+        elif kind == CstKind.IDENTIFIER:
             self._open()
             self._advance()
             if self._at("("):

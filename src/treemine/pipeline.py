@@ -102,6 +102,8 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         return FileResult(relpath, f"not valid UTF-8: {exc}", [])
+    except OSError as exc:
+        return FileResult(relpath, f"cannot read: {exc}", [])
     try:
         tokens = scan(text)
         markers = parse(tokens)

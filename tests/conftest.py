@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from treemine import IgnoreList, build_ast, parse_file
+from treemine import build_ast, parse_file
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES, AstNode
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -16,7 +16,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 def build(source, ignore=None):
     """Source text straight to a simplified tree with default ignores."""
     return build_ast(parse_file(source),
-                     ignore or IgnoreList.from_names(DEFAULT_IGNORE_NAMES))
+                     ignore or frozenset(DEFAULT_IGNORE_NAMES))
 
 
 def cst_text(node):

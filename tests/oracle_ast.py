@@ -14,7 +14,7 @@ in both shapes a modifier list can take and search a whole unit for an
 """
 
 from treemine.ast_builder import AstNode
-from treemine.cst import COMMENT_KINDS, KIND_NAME, TRIVIA_KINDS, CstKind
+from treemine.cst import COMMENT_KINDS, TRIVIA_KINDS, CstKind
 from treemine.type_resolver import (NO_TYPE, Scope, _literal_type,
                                     resolve_identifier)
 
@@ -25,9 +25,9 @@ _OPERATOR_SUFFIXED = (CstKind.BINARY_EXPR, CstKind.UNARY_EXPR)
 # -- build_ast ---------------------------------------------------------------
 
 def oracle_build_ast(root, ignore):
-    if root.kind is not CstKind.FILE:
-        raise ValueError(f"expected FILE root, got {root.kind.name}")
-    drop = (frozenset(ignore.node_kinds) | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
+    if root.kind != CstKind.FILE:
+        raise ValueError(f"expected FILE root, got {root.kind}")
+    drop = (frozenset(ignore) | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
     children = []
     for child in root.children:
         children.extend(_convert(child, drop))
@@ -36,19 +36,19 @@ def oracle_build_ast(root, ignore):
 
 def _convert(node, drop):
     kind = node.kind
-    if kind is CstKind.WHITE_SPACE:
+    if kind == CstKind.WHITE_SPACE:
         return []
     if kind in drop and (node.is_leaf() or kind in COMMENT_KINDS):
         return []
     if node.is_leaf():
-        return [AstNode(KIND_NAME[kind], token=node.text, span=node.span)]
+        return [AstNode(kind, token=node.text, span=node.span)]
 
     if (kind in _COLLAPSE_TO_LEAF and kind not in drop
             and _drops_significant_leaf(node, drop)):
         text = _presentable_text(node)
         if not text:
             return []
-        return [AstNode(KIND_NAME[kind], token=text, span=node.span)]
+        return [AstNode(kind, token=text, span=node.span)]
 
     converted = []
     for child in node.children:
@@ -58,12 +58,12 @@ def _convert(node, drop):
         return converted
     if not converted:
         return []
-    if kind is CstKind.PAREN_EXPR and len(converted) == 1:
+    if kind == CstKind.PAREN_EXPR and len(converted) == 1:
         return converted
 
-    node_type = KIND_NAME[kind]
+    node_type = kind
     if kind in _OPERATOR_SUFFIXED and CstKind.OPERATOR in drop:
-        op = next((c.text for c in node.children if c.kind is CstKind.OPERATOR), None)
+        op = next((c.text for c in node.children if c.kind == CstKind.OPERATOR), None)
         if op:
             node_type = f"{node_type}:{op}"
     return [AstNode(node_type, children=converted, span=node.span)]

@@ -38,7 +38,7 @@ def tokenize(source: str) -> list[CstNode]:
     def error(msg: str, at: int) -> LexError:
         return LexError(line, at - line_start + 1, msg)
 
-    def emit(kind: CstKind, text: str) -> None:
+    def emit(kind: str, text: str) -> None:
         nonlocal i, byte_offset, line, line_start
         nbytes = len(text.encode("utf-8"))
         newlines = text.count("\n")

@@ -89,11 +89,11 @@ class _Parser:
         return tok
 
     def _expect(self, children: list[CstNode], expected: str,
-                kind: CstKind | None = None, text: str | None = None) -> CstNode:
+                kind: str | None = None, text: str | None = None) -> CstNode:
         tok = self._peek()
         if tok is None:
             self._fail(expected)
-        if kind is not None and tok.kind is not kind:
+        if kind is not None and tok.kind != kind:
             self._fail(expected)
         if text is not None and tok.text != text:
             self._fail(expected)
@@ -102,7 +102,11 @@ class _Parser:
     def _fail(self, expected: str):
         tok = self._peek()
         if tok is None:
-            raise ParseError(self._end_line, 1, expected, "end of file")
+            # where the file ends: after its last newline and character
+            source = "".join(t.text for t in self.tokens)
+            raise ParseError(source.count("\n") + 1,
+                             self._column(len(self.tokens)),
+                             expected, "end of file")
         raise ParseError(tok.span.line_start,
                          self._column(self._sig_index[self._sig_pos]),
                          expected, repr(tok.text))
@@ -125,7 +129,7 @@ class _Parser:
         children.append(node)
         return node
 
-    def _node(self, kind: CstKind, children: list[CstNode]) -> CstNode:
+    def _node(self, kind: str, children: list[CstNode]) -> CstNode:
         if not children:
             return self._empty_node(kind)
         first = children[0].span
@@ -134,7 +138,7 @@ class _Parser:
                           first.line_start, last.line_end)
         return CstNode(kind, span, children=children)
 
-    def _empty_node(self, kind: CstKind) -> CstNode:
+    def _empty_node(self, kind: str) -> CstNode:
         # Zero-width node anchored at the next unconsumed position.
         if self.pos < len(self.tokens):
             anchor = self.tokens[self.pos].span
@@ -151,10 +155,10 @@ class _Parser:
             tok = self._peek()
             if tok is None:
                 break
-            if tok.kind is CstKind.KEYWORD and (
+            if tok.kind == CstKind.KEYWORD and (
                     tok.text == "class" or tok.text in MODIFIER_KEYWORDS):
                 self._sub(children, self._class_decl)
-            elif tok.kind is CstKind.IDENTIFIER and tok.text in ("package", "import"):
+            elif tok.kind == CstKind.IDENTIFIER and tok.text in ("package", "import"):
                 # header lines are kept as raw leaf tokens, not parsed
                 while not self._at(";"):
                     if self._peek() is None:
@@ -199,7 +203,7 @@ class _Parser:
             tok = self._peek()
             if tok is None:
                 break
-            if tok.kind is CstKind.KEYWORD and tok.text in MODIFIER_KEYWORDS:
+            if tok.kind == CstKind.KEYWORD and tok.text in MODIFIER_KEYWORDS:
                 self._flush_trivia(children)
                 inner: list[CstNode] = []
                 self._advance(inner)
@@ -219,7 +223,7 @@ class _Parser:
         children.append(self._modifier_list(allow_annotations=True))
         first = self._peek()
         second = self._peek(1)
-        if (first is not None and first.kind is CstKind.IDENTIFIER
+        if (first is not None and first.kind == CstKind.IDENTIFIER
                 and first.text == class_name
                 and second is not None and second.text == "("):
             self._expect(children, "constructor name", kind=CstKind.IDENTIFIER)
@@ -247,9 +251,9 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             self._fail("type")
-        if tok.kind is CstKind.KEYWORD and tok.text in _TYPE_START_KEYWORDS:
+        if tok.kind == CstKind.KEYWORD and tok.text in _TYPE_START_KEYWORDS:
             self._advance(children)
-        elif tok.kind is CstKind.IDENTIFIER:
+        elif tok.kind == CstKind.IDENTIFIER:
             self._advance(children)
             while self._at(".") and self._is_identifier(self._peek(1)):
                 self._expect(children, "'.'", text=".")
@@ -309,7 +313,7 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             self._fail("statement")
-        if tok.kind is CstKind.KEYWORD:
+        if tok.kind == CstKind.KEYWORD:
             if tok.text == "if":
                 return self._if_stmt()
             if tok.text == "while":
@@ -325,7 +329,7 @@ class _Parser:
             self._fail("statement")
         if tok.text == "{":
             return self._code_block()
-        if tok.kind is CstKind.IDENTIFIER and self._looks_like_decl():
+        if tok.kind == CstKind.IDENTIFIER and self._looks_like_decl():
             return self._local_var_decl()
         return self._expr_stmt()
 
@@ -349,9 +353,9 @@ class _Parser:
                     depth += 1
                 elif tok.text == ">":
                     depth -= 1
-                elif not (tok.kind is CstKind.IDENTIFIER
+                elif not (tok.kind == CstKind.IDENTIFIER
                           or tok.text in (",", ".", "[", "]")
-                          or (tok.kind is CstKind.KEYWORD
+                          or (tok.kind == CstKind.KEYWORD
                               and tok.text in PRIMITIVE_TYPE_KEYWORDS)):
                     return False
                 j += 1
@@ -361,7 +365,7 @@ class _Parser:
 
     @staticmethod
     def _is_identifier(tok: CstNode | None) -> bool:
-        return tok is not None and tok.kind is CstKind.IDENTIFIER
+        return tok is not None and tok.kind == CstKind.IDENTIFIER
 
     def _local_var_decl(self) -> CstNode:
         children: list[CstNode] = []
@@ -403,8 +407,8 @@ class _Parser:
             self._fail("for initializer")
         if tok.text == ";":
             self._expect(children, "';'", text=";")
-        elif ((tok.kind is CstKind.KEYWORD and tok.text in PRIMITIVE_TYPE_KEYWORDS)
-              or (tok.kind is CstKind.IDENTIFIER and self._looks_like_decl())):
+        elif ((tok.kind == CstKind.KEYWORD and tok.text in PRIMITIVE_TYPE_KEYWORDS)
+              or (tok.kind == CstKind.IDENTIFIER and self._looks_like_decl())):
             self._sub(children, self._local_var_decl)
         else:
             self._sub(children, self._expr_stmt)
@@ -448,7 +452,7 @@ class _Parser:
         left = self._unary()
         while True:
             tok = self._peek()
-            if tok is None or tok.kind is not CstKind.OPERATOR:
+            if tok is None or tok.kind != CstKind.OPERATOR:
                 return left
             precedence = _BINARY_PRECEDENCE.get(tok.text)
             if precedence is None or precedence < min_precedence:
@@ -461,7 +465,7 @@ class _Parser:
 
     def _unary(self) -> CstNode:
         tok = self._peek()
-        if tok is not None and tok.kind is CstKind.OPERATOR and tok.text in ("-", "!"):
+        if tok is not None and tok.kind == CstKind.OPERATOR and tok.text in ("-", "!"):
             children: list[CstNode] = []
             self._advance(children)
             self._sub(children, self._unary)
@@ -494,15 +498,15 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             self._fail("expression")
-        if tok.kind is CstKind.LITERAL:
+        if tok.kind == CstKind.LITERAL:
             # Callers pre-flush trivia, so the literal token is next in the
             # stream and becomes a bare leaf of the enclosing expression.
             leaf = self.tokens[self.pos]
-            assert leaf.kind is CstKind.LITERAL
+            assert leaf.kind == CstKind.LITERAL
             self.pos += 1
             self._sig_pos += 1
             return leaf
-        if tok.kind is CstKind.IDENTIFIER:
+        if tok.kind == CstKind.IDENTIFIER:
             children = []
             self._expect(children, "identifier", kind=CstKind.IDENTIFIER)
             if self._at("("):

@@ -8,7 +8,7 @@ import random
 import time
 from pathlib import Path
 
-from treemine import (IgnoreList, MinerLimits, NO_TYPE, annotate_types,
+from treemine import (MinerLimits, NO_TYPE, annotate_types,
                       build_ast, enumerate_paths, extract_method_name,
                       parse_file, run, split, split_subtokens, validate_config)
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES
@@ -62,7 +62,7 @@ def test_criterion_2_ast_hygiene():
         banned = {"KEYWORD", "PUNCTUATION", "OPERATOR", "WHITE_SPACE"}
         for path in sorted(CORPUS_DIR.glob("*.java")):
             tree = build_ast(parse_file(path.read_text(encoding="utf-8")),
-                             IgnoreList.from_names(DEFAULT_IGNORE_NAMES))
+                             frozenset(DEFAULT_IGNORE_NAMES))
             if tree.node_type != "FILE":
                 problems.append(f"{path.name}: root is {tree.node_type}")
             for node in tree.preorder():
@@ -184,7 +184,7 @@ def test_criterion_3_hand_annotated_types():
         for source, table in ANNOTATIONS:
             tree = annotate_types(build_ast(
                 parse_file(source),
-                IgnoreList.from_names(DEFAULT_IGNORE_NAMES)))
+                frozenset(DEFAULT_IGNORE_NAMES)))
             occurrences: dict[str, list] = {}
             for leaf in tree.leaves():
                 if leaf.node_type.split(":")[0] in ("IDENTIFIER", "LITERAL"):
@@ -264,7 +264,7 @@ def test_criterion_5_label_leak_freedom():
         for path in fixtures:
             tree = annotate_types(build_ast(
                 parse_file(path.read_text(encoding="utf-8"), str(path)),
-                IgnoreList.from_names(DEFAULT_IGNORE_NAMES)))
+                frozenset(DEFAULT_IGNORE_NAMES)))
             for unit in split(tree, "method"):
                 sample = extract_method_name(unit)
                 label = sample.label

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treemine import (ConfigError, annotate_types, build_ast, count_nodes,
-                      parse_file)
-from treemine.ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList
+from treemine import annotate_types, build_ast, count_nodes, parse_file
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES
 from treemine.ast_builder import build as build_from_markers
 from treemine.cst import CST_KIND_NAMES
 from treemine.filters import FilterSpec, accept
@@ -84,29 +83,23 @@ def test_root_must_be_a_file_tree():
     cst = parse_file("class A { }")
     class_cst = next(c for c in cst.children if not c.is_leaf())
     with pytest.raises(ValueError):
-        build_ast(class_cst, IgnoreList.from_names(DEFAULT_IGNORE_NAMES))
+        build_ast(class_cst, frozenset(DEFAULT_IGNORE_NAMES))
 
 
 def test_default_ignore_names():
     assert set(DEFAULT_IGNORE_NAMES) == {"KEYWORD", "PUNCTUATION", "OPERATOR"}
 
 
-def test_from_names_accepts_generator():
-    ignore = IgnoreList.from_names(n for n in ("KEYWORD", "OPERATOR"))
+def test_ignore_set_drops_only_its_kinds():
+    ignore = frozenset({"KEYWORD", "OPERATOR"})
     tree = build_ast(parse_file("class A { }"), ignore)
     kinds = {n.node_type for n in tree.preorder()}
     assert "PUNCTUATION" in kinds
     assert "KEYWORD" not in kinds
 
 
-def test_from_names_rejects_unknown():
-    with pytest.raises(ConfigError) as info:
-        IgnoreList.from_names(["KEYWORD", "NOT_A_KIND"])
-    assert "NOT_A_KIND" in str(info.value)
-
-
 def test_whitespace_always_dropped():
-    tree = build_ast(parse_file("class A { int x; }"), IgnoreList(frozenset()))
+    tree = build_ast(parse_file("class A { int x; }"), frozenset())
     assert all(n.node_type != "WHITE_SPACE" for n in tree.preorder())
 
 
@@ -139,7 +132,7 @@ def test_comments_kept_by_default():
 
 
 def test_comments_removed_when_ignored():
-    ignore = IgnoreList.from_names(
+    ignore = frozenset(
         list(DEFAULT_IGNORE_NAMES) + ["LINE_COMMENT", "BLOCK_COMMENT"])
     tree = build_ast(
         parse_file("class A { /* doc */ int x; // y\n }"), ignore)
@@ -174,7 +167,7 @@ def test_modifier_collapses_to_leaf():
 
 def test_modifier_keeps_children_when_keyword_kept():
     tree = build_ast(parse_file("public class A { }"),
-                     IgnoreList(frozenset()))
+                     frozenset())
     modifier = find_one(tree, "MODIFIER")
     assert not modifier.is_leaf()
     assert modifier.children[0].node_type == "KEYWORD"
@@ -205,10 +198,11 @@ def test_assignment_keeps_plain_name():
 
 def test_no_suffix_when_operators_kept():
     tree = build_ast(parse_file("class A { void f() { r = a + b; } }"),
-                     IgnoreList(frozenset({"KEYWORD", "PUNCTUATION"})))
+                     frozenset({"KEYWORD", "PUNCTUATION"}))
     binary = find_one(tree, "BINARY_EXPR")
     assert any(c.node_type == "OPERATOR" and c.token == "+"
                for c in binary.children)
+    assert not find_all(tree, "KEYWORD") and not find_all(tree, "PUNCTUATION")
 
 
 def test_paren_expr_collapses_to_single_child():
@@ -220,7 +214,7 @@ def test_paren_expr_collapses_to_single_child():
 
 
 def test_ignored_internal_kind_is_spliced():
-    ignore = IgnoreList.from_names(
+    ignore = frozenset(
         list(DEFAULT_IGNORE_NAMES) + ["EXPR_STMT"])
     tree = build_ast(parse_file("class A { void f() { g(); } }"), ignore)
     assert find_all(tree, "EXPR_STMT") == []
@@ -230,7 +224,7 @@ def test_ignored_internal_kind_is_spliced():
 
 
 def test_file_never_dropped():
-    ignore = IgnoreList.from_names(DEFAULT_IGNORE_NAMES)
+    ignore = frozenset(DEFAULT_IGNORE_NAMES)
     tree = build_ast(parse_file("class A { }"), ignore)
     assert tree.node_type == "FILE"
 
@@ -280,7 +274,7 @@ OVERRIDE = FilterSpec("override_method")
 
 
 def _assert_matches_recursive_reference(names):
-    ignore = IgnoreList.from_names(names)
+    ignore = frozenset(names)
     for name in SOURCES:
         # from the CST, and from tokens and markers as the pipeline builds
         for built in (build_ast(_cst(name), ignore),
@@ -316,7 +310,7 @@ NODE_TYPE = re.compile(r"[A-Z_]+(:[^\s,]+)?")
 
 @pytest.mark.parametrize("names", IGNORE_LISTS.values(), ids=IGNORE_LISTS)
 def test_node_types_are_safe_path_labels(names):
-    ignore = IgnoreList.from_names(names)
+    ignore = frozenset(names)
     for name in SOURCES:
         for node in build_ast(_cst(name), ignore).preorder():
             assert NODE_TYPE.fullmatch(node.node_type), (name, node.node_type)

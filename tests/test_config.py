@@ -22,7 +22,7 @@ def test_minimal_config_defaults():
                               "storage": {"format": "code2seq"}})
     assert config.dataset_name == "dataset"
     assert config.source_extensions == (".java",)
-    assert config.ignore.node_kinds == frozenset(
+    assert config.ignore == frozenset(
         {CstKind.KEYWORD, CstKind.PUNCTUATION, CstKind.OPERATOR})
     assert config.filters == ()
     assert config.extractor_name == "none"
@@ -53,7 +53,7 @@ def test_full_config_round_trip():
     ))
     assert config.dataset_name == "corpus"
     assert config.source_extensions == (".java", ".jav")
-    assert CstKind.LINE_COMMENT in config.ignore.node_kinds
+    assert CstKind.LINE_COMMENT in config.ignore
     assert [f.name for f in config.filters] == ["tree_size", "constructor"]
     assert config.filters[0].max_nodes == 300
     assert config.filters[0].min_nodes == 5
@@ -114,7 +114,7 @@ def test_ignore_rejects_unknown_kind():
 
 def test_empty_ignore_list_is_valid():
     config = validate_config(valid(ignore_node_kinds=[]))
-    assert config.ignore.node_kinds == frozenset()
+    assert config.ignore == frozenset()
 
 
 def test_bad_granularity():

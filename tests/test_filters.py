@@ -1,4 +1,4 @@
-from treemine import FilterSpec, IgnoreList, accept, count_nodes, split
+from treemine import FilterSpec, accept, count_nodes, split
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES
 
 from conftest import build
@@ -84,7 +84,7 @@ def test_tree_size_works_at_any_granularity():
 def test_ignored_kinds_defeat_override_and_abstract_filters():
     # why validate_config rejects these filters beside these ignored kinds
     def methods(source, kind):
-        ignore = IgnoreList.from_names([*DEFAULT_IGNORE_NAMES, kind])
+        ignore = frozenset([*DEFAULT_IGNORE_NAMES, kind])
         return split(build(source, ignore), "method")
     marked, = methods("class A { @Override int f() { return 1; } }",
                       "ANNOTATION")

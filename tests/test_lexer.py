@@ -35,19 +35,19 @@ def test_round_trip_sample():
 
 def test_keywords_vs_identifiers():
     tokens = [t for t in tokenize("class classy if iffy for fortune")
-              if t.kind is not CstKind.WHITE_SPACE]
+              if t.kind != CstKind.WHITE_SPACE]
     assert kinds(tokens) == [CstKind.KEYWORD, CstKind.IDENTIFIER] * 3
 
 
 def test_word_literals_are_literals():
     tokens = [t for t in tokenize("true false null")
-              if t.kind is not CstKind.WHITE_SPACE]
+              if t.kind != CstKind.WHITE_SPACE]
     assert kinds(tokens) == [CstKind.LITERAL] * 3
 
 
 def test_identifier_charset():
     tokens = tokenize("_x $y a$1 __init$$")
-    words = [t.text for t in tokens if t.kind is CstKind.IDENTIFIER]
+    words = [t.text for t in tokens if t.kind == CstKind.IDENTIFIER]
     assert words == ["_x", "$y", "a$1", "__init$$"]
 
 
@@ -73,13 +73,13 @@ def test_quoted_literals(text):
 
 def test_operators_two_char_before_one_char():
     tokens = tokenize("a==b!=c<=d>=e&&f||g")
-    ops = [t.text for t in tokens if t.kind is CstKind.OPERATOR]
+    ops = [t.text for t in tokens if t.kind == CstKind.OPERATOR]
     assert ops == ["==", "!=", "<=", ">=", "&&", "||"]
 
 
 def test_operators_one_char():
     tokens = tokenize("a=b<c>d+e-f*g/h%i!j")
-    ops = [t.text for t in tokens if t.kind is CstKind.OPERATOR]
+    ops = [t.text for t in tokens if t.kind == CstKind.OPERATOR]
     assert ops == ["=", "<", ">", "+", "-", "*", "/", "%", "!"]
 
 
@@ -92,9 +92,9 @@ def test_punctuation():
 def test_line_comment_excludes_newline():
     tokens = tokenize("x // rest of line\ny")
     comment = tokens[2]
-    assert comment.kind is CstKind.LINE_COMMENT
+    assert comment.kind == CstKind.LINE_COMMENT
     assert comment.text == "// rest of line"
-    assert tokens[3].kind is CstKind.WHITE_SPACE
+    assert tokens[3].kind == CstKind.WHITE_SPACE
     assert tokens[3].text == "\n"
 
 
@@ -106,7 +106,7 @@ def test_line_comment_at_eof_without_newline():
 def test_block_comment_multiline():
     source = "/* one\n   two */x"
     tokens = tokenize(source)
-    assert tokens[0].kind is CstKind.BLOCK_COMMENT
+    assert tokens[0].kind == CstKind.BLOCK_COMMENT
     assert tokens[0].text == "/* one\n   two */"
     assert tokens[0].span.line_start == 1
     assert tokens[0].span.line_end == 2
@@ -117,7 +117,7 @@ def test_byte_offsets_utf8():
     source = 's = "grüße";'
     tokens = tokenize(source)
     assert "".join(texts(tokens)) == source
-    literal = next(t for t in tokens if t.kind is CstKind.LITERAL)
+    literal = next(t for t in tokens if t.kind == CstKind.LITERAL)
     # ü and ß take two bytes each
     assert literal.span.byte_offset_end - literal.span.byte_offset_start == \
         len('"grüße"'.encode("utf-8"))
@@ -127,7 +127,7 @@ def test_byte_offsets_utf8():
 def test_line_numbers():
     tokens = tokenize("a\nb\r\nc")
     lines = {t.text: t.span.line_start for t in tokens
-             if t.kind is CstKind.IDENTIFIER}
+             if t.kind == CstKind.IDENTIFIER}
     assert lines == {"a": 1, "b": 2, "c": 3}
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from treemine import (CstKind, LexError, ParseError, build_ast, parse_file,
                       run, validate_config)
-from treemine.ast_builder import DEFAULT_IGNORE_NAMES, IgnoreList, build
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES, build
 from treemine.cst import TRIVIA_KINDS
 from treemine.lexer import scan, tokenize
 from treemine.parser import MAX_NESTING, parse
@@ -74,7 +74,7 @@ def test_corpus_span_invariants(path):
 
 def test_empty_file():
     root = parse_file("")
-    assert root.kind is CstKind.FILE
+    assert root.kind == CstKind.FILE
     assert root.children == []
     assert root.span.byte_offset_start == 0
     assert root.span.byte_offset_end == 0
@@ -143,8 +143,8 @@ def test_annotations_only_start_members(source):
 def test_extends_and_implements():
     root = parse_file("class A extends B implements C, D { }")
     class_decl = next(c for c in root.children
-                      if c.kind is CstKind.CLASS_DECL)
-    type_refs = [n for n in significant(class_decl) if n is CstKind.TYPE_REF]
+                      if c.kind == CstKind.CLASS_DECL)
+    type_refs = [n for n in significant(class_decl) if n == CstKind.TYPE_REF]
     assert len(type_refs) == 3
 
 
@@ -173,7 +173,7 @@ def test_generic_type_reconstruction():
     source = "class A { Map<String, List<Integer>> m; int[][] grid; }"
     root = parse_file(source)
     type_texts = [cst_text(n) for n in walk_cst(root)
-                  if n.kind is CstKind.TYPE_REF]
+                  if n.kind == CstKind.TYPE_REF]
     assert "Map<String, List<Integer>>" in type_texts
     assert "int[][]" in type_texts
 
@@ -188,7 +188,7 @@ def test_method_call_vs_reference():
 
 def test_chained_calls_nest():
     root = parse_file("class A { void f() { a.b().c(); } }")
-    calls = [n for n in walk_cst(root) if n.kind is CstKind.METHOD_CALL]
+    calls = [n for n in walk_cst(root) if n.kind == CstKind.METHOD_CALL]
     assert len(calls) == 2
     outer = calls[0]
     inner_kinds = [c.kind for c in outer.children
@@ -198,11 +198,11 @@ def test_chained_calls_nest():
 
 def test_precedence_binds_multiplication_tighter():
     root = parse_file("class A { void f() { r = a + b * c; } }")
-    binaries = [n for n in walk_cst(root) if n.kind is CstKind.BINARY_EXPR]
+    binaries = [n for n in walk_cst(root) if n.kind == CstKind.BINARY_EXPR]
     assert len(binaries) == 2
     ops = []
     for node in binaries:
-        op = next(c.text for c in node.children if c.kind is CstKind.OPERATOR)
+        op = next(c.text for c in node.children if c.kind == CstKind.OPERATOR)
         ops.append(op)
     assert ops == ["+", "*"]
     # the * node sits inside the + node
@@ -213,7 +213,7 @@ def test_precedence_binds_multiplication_tighter():
 def test_assignment_is_right_associative():
     root = parse_file("class A { void f() { a = b = c; } }")
     assigns = [n for n in walk_cst(root)
-               if n.kind is CstKind.ASSIGNMENT_EXPR]
+               if n.kind == CstKind.ASSIGNMENT_EXPR]
     assert len(assigns) == 2
     assert assigns[1] in list(walk_cst(assigns[0]))
 
@@ -232,17 +232,17 @@ def test_binary_precedence_and_trivia_placement():
     root = parse_file(source)
     assert cst_text(root) == source
     assignment = next(n for n in walk_cst(root)
-                      if n.kind is CstKind.ASSIGNMENT_EXPR)
+                      if n.kind == CstKind.ASSIGNMENT_EXPR)
 
     def render(node):
         # binary nodes in parentheses, whitespace as "_"
-        if node.kind is CstKind.WHITE_SPACE:
+        if node.kind == CstKind.WHITE_SPACE:
             return "_"
-        if node.kind is CstKind.REFERENCE_EXPR:
+        if node.kind == CstKind.REFERENCE_EXPR:
             return node.children[0].text
         if not node.children:
             return node.text
-        assert node.kind is CstKind.BINARY_EXPR
+        assert node.kind == CstKind.BINARY_EXPR
         return "(" + " ".join(render(c) for c in node.children) + ")"
 
     assert render(assignment.children[-1]) == (
@@ -253,7 +253,7 @@ def test_binary_precedence_and_trivia_placement():
 def test_array_access_nests():
     root = parse_file("class A { void f() { v = grid[i][j]; } }")
     accesses = [n for n in walk_cst(root)
-                if n.kind is CstKind.ARRAY_ACCESS_EXPR]
+                if n.kind == CstKind.ARRAY_ACCESS_EXPR]
     assert len(accesses) == 2
     assert accesses[1] in list(walk_cst(accesses[0]))
 
@@ -262,7 +262,7 @@ def test_new_expression():
     source = "class A { void f() { p = new Point(1, q); } }"
     root = parse_file(source)
     new_expr = next(n for n in walk_cst(root)
-                    if n.kind is CstKind.NEW_EXPR)
+                    if n.kind == CstKind.NEW_EXPR)
     kinds = [c.kind for c in new_expr.children if c.kind not in TRIVIA_KINDS]
     assert kinds == [CstKind.KEYWORD, CstKind.TYPE_REF,
                      CstKind.ARGUMENT_LIST]
@@ -272,7 +272,7 @@ def test_if_else_chain_nests_in_else():
     source = ("class A { void f() { if (a) { } else if (b) { } "
               "else { } } }")
     root = parse_file(source)
-    ifs = [n for n in walk_cst(root) if n.kind is CstKind.IF_STMT]
+    ifs = [n for n in walk_cst(root) if n.kind == CstKind.IF_STMT]
     assert len(ifs) == 2
     assert ifs[1] in list(walk_cst(ifs[0]))
 
@@ -298,7 +298,7 @@ def test_package_and_import_headers_kept_as_tokens():
     assert cst_text(root) == source
     # header tokens sit directly under FILE, before the class node
     first_class = next(i for i, c in enumerate(root.children)
-                       if c.kind is CstKind.CLASS_DECL)
+                       if c.kind == CstKind.CLASS_DECL)
     assert all(c.is_leaf() for c in root.children[:first_class])
 
 
@@ -319,9 +319,14 @@ def test_parse_error_top_level_statement():
 
 
 def test_parse_error_at_eof():
-    with pytest.raises(ParseError) as info:
-        parse_file("class A {")
-    assert info.value.found == "end of file"
+    """An error at end of file points just past the file's last character."""
+    for source, position in [("class A {", (1, 10)),
+                             ("class A {\n  int x;\n", (3, 1)),
+                             ("class A { // c\n\n", (3, 1))]:
+        with pytest.raises(ParseError) as info:
+            parse_file(source)
+        assert info.value.found == "end of file"
+        assert (info.value.line, info.value.column) == position, source
 
 
 def test_parse_error_method_body():
@@ -556,7 +561,7 @@ def test_matches_reference_parser_on_truncations_and_deletions(data):
     _assert_matches_reference(_draw_mutant(data))
 
 
-AST_IGNORE_LISTS = [IgnoreList.from_names(names) for names in (
+AST_IGNORE_LISTS = [frozenset(names) for names in (
     DEFAULT_IGNORE_NAMES, (),
     DEFAULT_IGNORE_NAMES + ("LINE_COMMENT", "BLOCK_COMMENT"),
     ("TYPE_REF", "MODIFIER_LIST", "MODIFIER", "ANNOTATION", "KEYWORD"))]

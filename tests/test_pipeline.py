@@ -529,3 +529,15 @@ def test_no_corpus_breaks_a_run(files, shape, parallelism):
 
         assert main(["--config", str(write_config(tmp, cfg))]) == EXIT_OK
         assert not list((tmp / "out").glob("*.partial"))
+
+
+def test_an_unreadable_file_is_an_input_failure(tmp_path, caplog):
+    path = tmp_path / _LOCKED
+    path.write_bytes(b"class L { }")
+    config = validate_config(base_config(tmp_path, tmp_path / "out"))
+    with mock.patch.object(Path, "read_text", _read_text_unless_locked), \
+            caplog.at_level(logging.DEBUG, logger="treemine"):
+        result = process_file(path, _LOCKED, config)
+    assert result.error.startswith("cannot read: ")
+    assert "Permission denied" in result.error
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
