@@ -25,7 +25,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="validate the configuration and print the "
                              "discovery plan without writing anything")
     parser.add_argument("--parallelism", type=int, default=None,
-                        help="override the configured worker count")
+                        help="override the configured parallelism, which "
+                             "is validated but starts no worker")
     args = parser.parse_args(argv)
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,

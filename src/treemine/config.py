@@ -7,6 +7,7 @@ that would silently defeat the label extractor or a filter.
 """
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +102,9 @@ def validate_config(raw) -> PipelineConfig:
     input_dir = _str_field(raw, "input_dir", problems)
     output_dir = _str_field(raw, "output_dir", problems)
     dataset_name = _str_field(raw, "dataset_name", problems, "dataset")
+    if "/" in dataset_name or os.sep in dataset_name:
+        # output files are named after it and must land in output_dir
+        problems.append("dataset_name must be a file name, not a path")
 
     extensions = raw.get("source_extensions", [".java"])
     if (not isinstance(extensions, list) or not extensions

@@ -1,6 +1,11 @@
 """Exception types shared across the pipeline."""
 
 
+def position(text: str) -> tuple[int, int]:
+    """1-based (line, column) of the character just past `text`."""
+    return text.count("\n") + 1, len(text) - text.rfind("\n")
+
+
 class LexError(Exception):
     """Input contains a character sequence no token can cover."""
 

@@ -16,7 +16,7 @@ import re
 from itertools import accumulate, repeat
 
 from .cst import CstKind, CstNode, Tokens
-from .errors import LexError
+from .errors import LexError, position
 
 MODIFIER_KEYWORDS = frozenset({
     "public", "private", "protected", "static", "final", "abstract",
@@ -92,12 +92,14 @@ def scan(source: str) -> Tokens:
         if kind == CstKind.IDENTIFIER:
             kind = _WORD_KINDS.get(text, kind)
         elif kind is None:
-            _fail(source, match.start(), _UNTERMINATED[match.lastgroup])
+            raise LexError(*position(source[:match.start()]),
+                           _UNTERMINATED[match.lastgroup])
         kinds.append(kind)
         texts.append(text)
     end = match.end() if match else 0
     if end < len(source):
-        _fail(source, end, f"unexpected character {source[end]!r}")
+        raise LexError(*position(source[:end]),
+                       f"unexpected character {source[end]!r}")
     lines = list(accumulate(map(str.count, texts, repeat("\n")), initial=1))
     sizes = map(len, texts if source.isascii() else map(str.encode, texts))
     return Tokens(kinds, texts, lines, list(accumulate(sizes, initial=0)))
@@ -107,8 +109,3 @@ def tokenize(source: str) -> list[CstNode]:
     """The leaves of the file's CST: one node per token, spans included."""
     return scan(source).leaves()
 
-
-def _fail(source: str, at: int, message: str):
-    line_start = source.rfind("\n", 0, at) + 1
-    raise LexError(source.count("\n", 0, at) + 1, at - line_start + 1,
-                   message)

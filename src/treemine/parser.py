@@ -33,7 +33,7 @@ error messages, are worked out when an error is raised.
 """
 
 from .cst import CstKind, CstNode, Marker, Tokens, TRIVIA_KINDS
-from .errors import ParseError
+from .errors import ParseError, position
 from .lexer import MODIFIER_KEYWORDS, PRIMITIVE_TYPE_KEYWORDS, scan
 
 _TYPE_START_KEYWORDS = PRIMITIVE_TYPE_KEYWORDS | {"void"}
@@ -171,21 +171,11 @@ class _Parser:
         self._last_is_node = True
 
     def _fail(self, expected: str):
-        # at end of file, `index` is just past the last token
+        # at end of file, the position is just past the last token
         kind, text = self._peek()
-        index = self._index[self._pos]
-        raise ParseError(self.tokens.lines[index], self._column(index),
-                         expected, "end of file" if kind is None else repr(text))
-
-    def _column(self, index: int) -> int:
-        """1-based character column where token `index` starts."""
-        width = 0
-        for text in reversed(self.tokens.texts[:index]):
-            newline = text.rfind("\n")
-            if newline != -1:
-                return width + len(text) - newline
-            width += len(text)
-        return width + 1
+        before = "".join(self.tokens.texts[:self._index[self._pos]])
+        raise ParseError(*position(before), expected,
+                         "end of file" if kind is None else repr(text))
 
     # -- declarations ---------------------------------------------------------
 

@@ -1,19 +1,15 @@
 """End-to-end orchestration.
 
 Discovers inputs split by split, processes one project at a time (first-level
-subdirectories, plus loose files under the split root), runs the full stage
-chain per file, and writes outputs in a fixed order so results are
-byte-identical at any parallelism level. Outputs are written under staging
-names and moved into place together once the run has finished, so a run that
-fails or is interrupted leaves the previous dataset as it was.
+subdirectories, plus loose files under the split root), and runs the full
+stage chain per file on the calling thread, in discovery order, so output is
+the same at any `parallelism`, which starts no worker. Outputs are written
+under staging names and moved into place together once the run has finished,
+so a run that fails or is interrupted leaves the previous dataset as it was.
 """
 
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -148,27 +144,17 @@ def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatis
     stats = RunStatistics()
     staged: list[Path] = []
     try:
-        # one pool for the whole run; its map yields results in submission
-        # order, keeping output deterministic. Map submits a whole project and
-        # the pool starts a thread per task, so it gets at most one per CPU.
-        workers = min(config.parallelism, len(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
-        with (ThreadPoolExecutor(max_workers=workers)
-              if workers > 1 else nullcontext()) as pool:
-            map_files = pool.map if pool else map
-            for split_name, split_root in splits:
-                out_path = storage_spec.output_path(split_name)
-                staged.append(out_path)
-                with open(staging_path(out_path), "w", encoding="utf-8",
-                          newline="") as sink:
-                    for _, files in discover_projects(split_root,
-                                                      config.source_extensions):
-                        relpaths = [p.relative_to(split_root).as_posix()
-                                    for p in files]
-                        for result in map_files(process_file, files, relpaths,
-                                                repeat(config)):
-                            _consume(result, stats, sink)
+        for split_name, split_root in splits:
+            out_path = storage_spec.output_path(split_name)
+            staged.append(out_path)
+            with open(staging_path(out_path), "w", encoding="utf-8",
+                      newline="") as sink:
+                for _, files in discover_projects(split_root,
+                                                  config.source_extensions):
+                    for path in files:
+                        relpath = path.relative_to(split_root).as_posix()
+                        _consume(process_file(path, relpath, config), stats,
+                                 sink)
         finalize(stats, summary_sink or sys.stdout, config.output_dir, staged)
     finally:
         # only a run that stopped before finalize moved them leaves any
@@ -190,6 +176,5 @@ def _consume(result: FileResult, stats: RunStatistics, sink: TextIO) -> None:
             stats.record_rejection(unit.rejected_by)
             continue
         stats.trees_after_filters += 1
-        if unit.line is not None:
-            sink.write(unit.line)
+        sink.write(unit.line)
         stats.record_sample(unit.n_contexts)

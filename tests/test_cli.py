@@ -111,6 +111,20 @@ def test_ignore_list_defeating_a_filter_exits_before_any_output(
     assert f"filter {name}: ignoring {kind}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/x"])
+def test_dataset_name_that_is_a_path_exits_before_any_output(
+        tmp_path, capsys, name):
+    # output files are named after it, so a path would put them outside
+    # output_dir, or in a directory that does not exist
+    config_path = setup_run(tmp_path, dataset_name=name)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["--config", str(config_path)]) == EXIT_CONFIG
+    assert ("dataset_name must be a file name, not a path"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     in_dir = tmp_path / "in"
     write_files(in_dir, {"A.java": SOURCE})

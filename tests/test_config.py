@@ -461,12 +461,17 @@ _NO_STORAGE = {k: v for k, v in valid().items() if k != "storage"}
         "filters requiring method granularity: abstract_method, "
         "override_method",
     ]),
+    (valid(dataset_name="../escaped"),
+     ["dataset_name must be a file name, not a path"]),
+    (valid(dataset_name="sub/x"),
+     ["dataset_name must be a file name, not a path"]),
 ], ids=["empty", "sections_not_objects", "filters_not_list",
         "label_extractor_null", "miner_null", "storage_missing",
         "storage_null", "storage_empty", "unknown_keys_everywhere",
         "bad_top_values", "bad_ignore_kinds", "bad_filter_entries",
         "bad_extractor_name", "extractor_tokens_under_none",
         "extractor_tokens_under_method_name", "bad_miner_values",
-        "bad_parallelism", "method_only_on_file", "ignore_conflicts"])
+        "bad_parallelism", "method_only_on_file", "ignore_conflicts",
+        "dataset_name_in_parent", "dataset_name_in_subdirectory"])
 def test_complete_problem_lists(cfg, expected):
     assert problems_of(cfg) == expected

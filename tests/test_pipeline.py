@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -324,34 +325,24 @@ def test_parallel_output_identical(tmp_path):
     assert outputs[1]
 
 
-def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    # the fake pool records its size and maps in the calling thread, so no
-    # thread starts however many workers are asked for
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
+def test_parallelism_starts_no_thread(tmp_path, monkeypatch):
+    # with more than one CPU on offer, however many workers are asked for,
+    # the run stays on the calling thread and writes the same bytes
     outputs = []
     for parallelism in (1, 10**6):
         (tmp_path / str(parallelism)).mkdir()
-        _, out_dir = run_config(tmp_path / str(parallelism),
-                                parallelism=parallelism)
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", _no_thread)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                          raising=False)
+            _, out_dir = run_config(tmp_path / str(parallelism),
+                                    parallelism=parallelism)
         outputs.append((out_dir / "dataset.data.c2s").read_bytes())
-    assert sizes == [3]
     assert outputs[0] == outputs[1]
+
+
+def _no_thread(thread):
+    raise AssertionError(f"a run started thread {thread.name}")
 
 
 def test_rejected_units_have_no_line(tmp_path):
