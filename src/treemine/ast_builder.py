@@ -9,15 +9,16 @@ so it becomes the `node_type` as it is. `build` drops whitespace and the
 kinds in the ignore set, a plain set of kind names: ignored leaves (comments
 among them) go, and an ignored internal kind is spliced out node-wise, its
 children hoisted into the parent. Every span comes from the token arrays.
-`build_ast` takes a CST instead, flattening it back into tokens and markers
-first.
+The parser is the one producer of markers: `build_ast` takes the CST that
+`parser.parse_file` returned and builds from the tokens and markers kept on
+its root, without walking the CST.
 """
 
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .cst import (COMMENT_KINDS, TOKEN_KINDS, CstKind, CstNode, Marker,
-                  SourceSpan, Tokens, TRIVIA_KINDS, new_span)
+from .cst import (COMMENT_KINDS, CstKind, CstNode, Marker, SourceSpan,
+                  Tokens, TRIVIA_KINDS, new_span)
 
 # Kinds whose leaves are structural punctuation/keywords; dropped by default
 # because their information lives in the parent node_type.
@@ -98,39 +99,13 @@ class AstNode:
 
 
 def build_ast(root: CstNode, ignore: frozenset[str]) -> AstNode:
-    """Simplify a FILE-rooted CST into an AST.
-
-    Flattens the CST back into tokens and markers, then builds as `build`.
+    """Build the AST of a CST that `parser.parse_file` returned, from the
+    tokens and markers it keeps on its root; any other node is a ValueError.
     """
-    if root.kind != CstKind.FILE:
-        raise ValueError(f"expected FILE root, got {root.kind}")
-    kinds: list[str] = []
-    texts: list[str] = []
-    lines: list[int] = []
-    offsets: list[int] = []
-    markers: list[Marker] = []
-    # nodes to enter, and (kind, first token, child-node count) records of
-    # entered nodes, popped once their last token is in
-    stack: list = [root]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            kind, first, count = node
-            markers.append((kind, first, len(kinds), count))
-        elif node.kind in TOKEN_KINDS:
-            kinds.append(node.kind)
-            texts.append(node.text)
-            lines.append(node.span.line_start)
-            offsets.append(node.span.byte_offset_start)
-        else:
-            stack.append((node.kind, len(kinds), sum(
-                child.kind not in TOKEN_KINDS for child in node.children)))
-            stack.extend(reversed(node.children))
-    # the line just past the last token: the one its final newline ends
-    lines.append(root.span.line_end + (texts[-1][-1] == "\n") if texts
-                 else root.span.line_start)
-    offsets.append(root.span.byte_offset_end)
-    return build(Tokens(kinds, texts, lines, offsets), markers, ignore)
+    if root.parsed is None:
+        raise ValueError("expected the root that parse_file returned, got "
+                         f"a {root.kind} node")
+    return build(*root.parsed, ignore)
 
 
 def build(tokens: Tokens, markers: list[Marker],

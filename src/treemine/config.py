@@ -3,7 +3,7 @@
 The run is driven by one JSON file. Validation rejects unknown keys at every
 level and reports every problem at once instead of stopping at the first.
 Defaults come from where they are defined, and one table rejects ignore lists
-that would silently defeat the label extractor or a filter.
+that would silently defeat the granularity, the label extractor or a filter.
 """
 
 import json
@@ -32,9 +32,14 @@ _FILTER_PARAMETERS = {"tree_size": ("max_nodes", "min_nodes"),
 _MINER_MINIMUMS = {"max_path_nodes": 1, "max_path_width": 0,
                    "max_contexts": 1, "rng_seed": None}
 
-# (feature, ignored kinds, problem): ignoring all the kinds defeats the label
-# extractor or filter; method_name takes a method's first IDENTIFIER child
+# (feature, ignored kinds, problem): ignoring all the kinds defeats the
+# granularity, label extractor or filter; method_name takes a method's first
+# IDENTIFIER child
 _IGNORE_CONFLICTS = (
+    ("granularity class", {CstKind.CLASS_DECL},
+     "ignoring CLASS_DECL leaves no class units"),
+    ("granularity method", {CstKind.METHOD_DECL},
+     "ignoring METHOD_DECL leaves only constructors as method units"),
     ("label_extractor method_name", {CstKind.IDENTIFIER},
      "ignoring IDENTIFIER leaves a method no name leaf"),
     ("label_extractor method_name", {CstKind.TYPE_REF},
@@ -150,7 +155,8 @@ def validate_config(raw) -> PipelineConfig:
     if extractor["extractor_name"] == "method_name" and granularity != "method":
         problems.append("label_extractor method_name requires "
                         "granularity \"method\"")
-    features = {"label_extractor " + extractor["extractor_name"],
+    features = {"granularity " + granularity,
+                "label_extractor " + extractor["extractor_name"],
                 *("filter " + spec.name for spec in filters)}
     problems.extend(f"{feature}: {problem}"
                     for feature, kinds, problem in _IGNORE_CONFLICTS

@@ -1,7 +1,7 @@
 """Token arrays and the concrete syntax tree model.
 
 The lexer scans a file into `Tokens`: parallel lists of kind, text, start
-line and UTF-8 byte offset, with no object per token. The parser marks node
+line and offset, with no object per token. The parser marks node
 ranges over those lists, and both trees are built from tokens plus markers.
 
 A node kind is the string of its own name, `CstKind.BINARY_EXPR ==
@@ -80,7 +80,11 @@ CST_KIND_NAMES = frozenset(
 
 
 class SourceSpan(NamedTuple):
-    """Half-open byte range plus the 1-based line range it covers."""
+    """Half-open offset range plus the 1-based line range it covers.
+
+    Offsets count UTF-8 bytes of the text as read, with universal newlines,
+    not of the file on disk: a CRLF line end counts one byte.
+    """
 
     byte_offset_start: int
     byte_offset_end: int
@@ -100,13 +104,13 @@ class Tokens(NamedTuple):
     """One file's tokens, trivia included, as parallel lists.
 
     `lines` and `offsets` hold one entry more than there are tokens: the
-    line and the byte offset just past the last token.
+    line and the offset just past the last token.
     """
 
     kinds: list[str]
     texts: list[str]
     lines: list[int]  # 1-based line each token starts on
-    offsets: list[int]  # UTF-8 byte offset each token starts at
+    offsets: list[int]  # UTF-8 bytes of the text before each token
 
     def span(self, first: int, end: int) -> SourceSpan:
         """The span of tokens [first, end); an empty range is zero-width at
@@ -136,10 +140,16 @@ Marker = tuple[str, int, int, int]
 
 @dataclass(slots=True)
 class CstNode:
+    """A CST node. The FILE root that `parser.parse_file` returns keeps, in
+    `parsed`, the tokens and markers it was built from; it is None on every
+    other node and takes no part in equality."""
+
     kind: str
     span: SourceSpan
     text: str | None = None
     children: list["CstNode"] = field(default_factory=list)
+    parsed: tuple[Tokens, list[Marker]] | None = field(
+        default=None, compare=False, repr=False)
 
     def is_leaf(self) -> bool:
         return self.kind in TOKEN_KINDS

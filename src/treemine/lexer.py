@@ -1,14 +1,16 @@
 """Tokenizer for the supported Java-like subset.
 
-`scan` splits a file into `Tokens`, parallel lists of kind, text, start
-line and UTF-8 byte offset, and creates no object per token. The tokens are
-lossless: concatenating their texts reproduces the input string
-byte-for-byte. Byte offsets let later stages filter by source location
-without re-reading files.
+`scan` splits a string into `Tokens`, parallel lists of kind, text, start
+line and offset, and creates no object per token. The tokens are lossless:
+concatenating their texts reproduces the input string. An offset counts the
+UTF-8 bytes of the text before the token, the text as read: the pipeline
+reads files with universal newlines, so CRLF and CR line ends arrive as LF
+and an offset need not match the file on disk. No stage reads offsets; filters
+count lines.
 
 One alternation regex, compiled at import, recognises every token; the name
 of the alternative that matched gives its kind. The loop over matches
-collects only kinds and texts; start lines and byte offsets are running
+collects only kinds and texts; start lines and offsets are running
 sums over the texts, taken afterwards in one pass each.
 """
 

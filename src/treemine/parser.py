@@ -6,9 +6,10 @@ node, `(kind, first token, end token, child-node count)`, in the order the
 nodes complete: postorder, the FILE node last. Token indices count trivia.
 The FILE node spans every token, and any other node runs from its first
 significant token to just past its last one, so whitespace and comments
-belong to the innermost node whose range holds them. `parse_file` builds
-the lossless CST from the markers; `ast_builder.build` builds the AST from
-them directly.
+belong to the innermost node whose range holds them. The parser is the one
+producer of markers: `ast_builder.build` builds the AST from them, and
+`parse_file` builds the lossless CST from them and keeps the tokens and
+markers on its FILE root, where `ast_builder.build_ast` reads them.
 
 Productions drive one stack of open nodes. `_open()` starts a node at the
 next token, `_wrap()` starts one at the start of the element just completed
@@ -69,15 +70,17 @@ def parse(tokens: Tokens) -> list[Marker]:
 def parse_file(source: str, path: str = "<memory>") -> CstNode:
     """Parse one source file into a FILE-rooted lossless CST.
 
-    Raises LexError/ParseError; callers batch-processing files should catch
-    both, record the failure, and move on. `path` names the source for the
-    caller and does not change the tree.
+    The root's `parsed` holds the tokens and markers the tree was built
+    from. Raises LexError/ParseError; callers batch-processing files should
+    catch both, record the failure, and move on. `path` names the source for
+    the caller and does not change the tree.
     """
     tokens = scan(source)
+    markers = parse(tokens)
     leaves = tokens.leaves()
     # (first, end, node) of the completed nodes whose parent is still open
     done: list[tuple[int, int, CstNode]] = []
-    for kind, first, end, count in parse(tokens):
+    for kind, first, end, count in markers:
         children: list[CstNode] = []
         pos = first
         for child_first, child_end, child in done[len(done) - count:]:
@@ -88,7 +91,9 @@ def parse_file(source: str, path: str = "<memory>") -> CstNode:
         children += leaves[pos:end]
         done.append((first, end,
                      CstNode(kind, tokens.span(first, end), None, children)))
-    return done[0][2]
+    root = done[0][2]
+    root.parsed = (tokens, markers)
+    return root
 
 
 class _Parser:

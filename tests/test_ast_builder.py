@@ -18,6 +18,7 @@ from conftest import (CORPUS_DIR, GOLDEN_DIR, RECURSIVE_DIR, build, find_all,
                       find_one, leaf_tokens)
 from oracle_ast import (oracle_annotate_types, oracle_build_ast,
                         oracle_has_override_annotation, oracle_is_abstract)
+from oracle_parser import parse_file as oracle_parse_file
 
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.java"))
 # every parseable fixture and every golden input, plus locals whose
@@ -84,6 +85,15 @@ def test_root_must_be_a_file_tree():
     class_cst = next(c for c in cst.children if not c.is_leaf())
     with pytest.raises(ValueError):
         build_ast(class_cst, frozenset(DEFAULT_IGNORE_NAMES))
+
+
+def test_only_a_tree_from_parse_file_builds():
+    # build_ast reads the tokens and markers parse_file keeps on its root;
+    # an equal FILE tree built any other way has none
+    reference = oracle_parse_file("class A { }")
+    assert reference == parse_file("class A { }")
+    with pytest.raises(ValueError):
+        build_ast(reference, frozenset(DEFAULT_IGNORE_NAMES))
 
 
 def test_default_ignore_names():

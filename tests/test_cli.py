@@ -112,6 +112,21 @@ def test_ignore_list_defeating_a_filter_exits_before_any_output(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("granularity, kind", [
+    ("class", "CLASS_DECL"), ("method", "METHOD_DECL"),
+])
+def test_ignore_list_removing_every_unit_exits_before_any_output(
+        tmp_path, capsys, granularity, kind):
+    # an empty dataset, or one of constructors only, would look complete
+    config_path = setup_run(tmp_path, granularity=granularity,
+                            label_extractor={"name": "none"},
+                            ignore_node_kinds=["KEYWORD", kind])
+    assert main(["--config", str(config_path)]) == EXIT_CONFIG
+    assert (f"granularity {granularity}: ignoring {kind}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["../escaped", "sub/x"])
 def test_dataset_name_that_is_a_path_exits_before_any_output(
         tmp_path, capsys, name):

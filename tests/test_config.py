@@ -230,6 +230,32 @@ def test_filters_reject_ignore_lists_that_defeat_them(name, kind, extractor,
     assert validate_config(config(ignore_node_kinds=ignored,
                                   filters=[{"name": "constructor"}]))
 
+
+# Ignore lists that remove the units of the granularity: with CLASS_DECL
+# ignored a file has no class units, and with METHOD_DECL ignored only the
+# constructors are left as method units.
+@pytest.mark.parametrize("granularity, kind, problem", [
+    ("class", "CLASS_DECL",
+     "granularity class: ignoring CLASS_DECL leaves no class units"),
+    ("method", "METHOD_DECL",
+     "granularity method: ignoring METHOD_DECL leaves only constructors "
+     "as method units"),
+], ids=["class_decl", "method_decl"])
+def test_granularities_reject_ignore_lists_that_remove_their_units(
+        granularity, kind, problem):
+    def config(**overrides):
+        return valid(granularity=granularity,
+                     label_extractor={"name": "none"}, **overrides)
+
+    ignored = ["KEYWORD", "PUNCTUATION", "OPERATOR", kind]
+    assert problems_of(config(ignore_node_kinds=ignored)) == [problem]
+    # the granularity without the kind, and the kind at file granularity,
+    # are valid
+    assert validate_config(config())
+    assert validate_config(valid(granularity="file", ignore_node_kinds=ignored,
+                                 label_extractor={"name": "none"}))
+
+
 def test_extractor_unknown_name():
     problems = problems_of(valid(label_extractor={"name": "tfidf"}))
     assert any("label_extractor.name must be one of none, method_name" in p

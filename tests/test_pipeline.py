@@ -532,3 +532,28 @@ def test_an_unreadable_file_is_an_input_failure(tmp_path, caplog):
     assert result.error.startswith("cannot read: ")
     assert "Permission denied" in result.error
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"storage": {"format": "code2seq_typed"},
+     "filters": [{"name": "code_lines", "parameters": {"max_lines": 4}}]},
+    {"storage": {"format": "jsonl_trees"},
+     "ignore_node_kinds": ["PUNCTUATION", "KEYWORD", "OPERATOR"]},
+], ids=["code2seq_typed_code_lines", "jsonl_trees_with_comments"])
+def test_crlf_twin_writes_the_same_dataset(tmp_path, overrides):
+    # files are read as text with universal newlines, so "\r\n" reaches the
+    # lexer as "\n": every line, offset and comment token is the LF twin's
+    outputs = {}
+    for newline in (b"\n", b"\r\n"):
+        in_dir = tmp_path / f"in{len(newline)}"
+        in_dir.mkdir()
+        for source in CORPUS_DIR.iterdir():
+            lf = source.read_bytes().replace(b"\r\n", b"\n")
+            (in_dir / source.name).write_bytes(lf.replace(b"\n", newline))
+        out_dir = tmp_path / f"out{len(newline)}"
+        config = validate_config(base_config(in_dir, out_dir, **overrides))
+        stats = run(config, summary_sink=io.StringIO())
+        outputs[newline] = {path.name: path.read_bytes()
+                            for path in sorted(out_dir.iterdir())}
+    assert stats.samples_written
+    assert outputs[b"\r\n"] == outputs[b"\n"]
