@@ -8,15 +8,20 @@ branches at the LCA. Oversized bags are down-sampled deterministically.
 Leaves are paired only through their ancestors: a leaf climbs no higher than
 the node-count limit allows and meets only the leaves of the next
 `max_path_width` children at each ancestor, so the cost grows with the
-leaves within reach of each leaf, not with all pairs. `mine` counts the valid
-pairs first, draws the sample, and builds only the contexts it keeps.
+leaves within reach of each leaf, not with all pairs.
+
+One index of the leaves serves both entry points, and one walker lists
+pairs from it. `enumerate_paths` lists every valid pair. `mine` counts them
+on a large unit instead: it draws the sample from the count, locates only
+the drawn pairs and builds only the contexts it keeps, so its memory grows
+with the leaves and the limits, not with the valid pairs.
 """
 
-import hashlib
 import random
 import re
+from bisect import bisect_right
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .ast_builder import AstNode
 from .type_resolver import NO_TYPE
@@ -63,8 +68,8 @@ Pair = tuple[int, int, int, int]
 
 def enumerate_paths(tree: AstNode, limits: MinerLimits) -> list[PathContext]:
     """All leaf-pair contexts within the limits, ordered by leaf indices."""
-    chains, pairs = _valid_pairs(tree, limits)
-    return _build(chains, pairs)
+    index = _LeafIndex(tree, limits)
+    return _build(index.chains, index.pairs(range(len(index.chains))))
 
 
 def sample_contexts(contexts: list[PathContext], limits: MinerLimits,
@@ -77,87 +82,186 @@ def sample_contexts(contexts: list[PathContext], limits: MinerLimits,
     return [contexts[k] for k in _picks(len(contexts), limits, tree_key)]
 
 
+# A unit with at most this many times max_contexts leaf pairs in all has
+# its valid pairs listed, and the sample drawn from the list: listing them
+# costs no more than counting them, and they take little memory.
+LIST_FACTOR = 64
+
+
 def mine(tree: AstNode, limits: MinerLimits, label: str) -> list[PathContext]:
     """What sample_contexts keeps of enumerate_paths(tree, limits).
 
-    The tree key is `label:leaf count`. The valid pairs are counted before
-    any context is built, and only the kept ones are built.
+    The tree key is `label:leaf count`. A unit with more than LIST_FACTOR *
+    max_contexts leaf pairs has its valid pairs counted, not listed: the
+    sample is drawn from the count, and only the drawn pairs are located.
+    So memory does not grow with the number of valid pairs.
     """
-    chains, pairs = _valid_pairs(tree, limits)
-    picks = _picks(len(pairs), limits, f"{label}:{len(chains)}")
-    return _build(chains, [pairs[k] for k in picks])
+    index = _LeafIndex(tree, limits)
+    n_leaves = len(index.chains)
+    tree_key = f"{label}:{n_leaves}"
+    if n_leaves * (n_leaves - 1) // 2 <= LIST_FACTOR * limits.max_contexts:
+        pairs = index.pairs(range(n_leaves))
+        picks = _picks(len(pairs), limits, tree_key)
+        return _build(index.chains, [pairs[k] for k in picks])
+    counts = index.counts()
+    picks = _picks(sum(map(sum, counts)), limits, tree_key)
+    return _build(index.chains, index.locate(counts, picks))
 
 
 def _picks(n: int, limits: MinerLimits, tree_key: str) -> range | list[int]:
     """Indices, ascending, of the max_contexts of n contexts that are kept."""
     if n <= limits.max_contexts:
         return range(n)
+    # imported here: only a bag over max_contexts needs SHA-256, and hashlib
+    # maps OpenSSL's libcrypto, a few MB, into every process that imports it
+    import hashlib
     digest = hashlib.sha256(
         f"{limits.rng_seed}:{tree_key}".encode("utf-8")).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     return sorted(rng.sample(range(n), limits.max_contexts))
 
 
-def _valid_pairs(tree: AstNode,
-                 limits: MinerLimits) -> tuple[list[list[AstNode]], list[Pair]]:
-    """The leaves in order and their pairs within the limits, in (i, j) order.
+class _LeafIndex:
+    """The leaves of a tree in preorder, and what pairs them within limits.
 
     Each leaf comes as its chain: the leaf, then its ancestors up to the
     highest one a path from it can turn at. A path turning `up` edges above
-    leaf i may go down at most `max_path_nodes - up - 1` edges, so each node
-    keeps the leaves at most `max_path_nodes - 3` levels below it (up >= 1,
-    and the first edge down is the one into the branch child).
-
-    For a fixed i the pairs come out with j ascending: the leaves under the
-    later children of a lower ancestor all precede those under the later
-    children of a higher one.
+    leaf i may go down at most `max_path_nodes - up - 1` edges, so each
+    node's reach list holds the leaves at most `max_path_nodes - 3` levels
+    below it (up >= 1, and the first edge down is the one into the branch
+    child), in preorder.
     """
-    max_nodes = limits.max_path_nodes
-    width = limits.max_path_width
-    reach_depth = max_nodes - 3
-    reach: dict[int, list[tuple[int, int]]] = {}
-    chains: list[list[AstNode]] = []
-    branches: list[list[int]] = []
 
-    # preorder; from the root down to the current node, `path` holds the
-    # nodes, `index` each one's place among its parent's children and
-    # `lists` each one's reach list
-    path: list[AstNode] = []
-    index: list[int] = []
-    lists: list[list[tuple[int, int]]] = []
-    stack = [(tree, 0, 0)]
-    while stack:
-        node, depth, k = stack.pop()
-        del path[depth:], index[depth:], lists[depth:]
-        path.append(node)
-        index.append(k)
-        reach[id(node)] = own = []
-        lists.append(own)
-        children = node.children
-        if children:
-            n = len(children)
-            stack.extend(zip(reversed(children), repeat(depth + 1, n),
-                             range(n - 1, -1, -1)))
-            continue
-        i = len(chains)
-        for e in range(min(reach_depth, depth) + 1):
-            lists[depth - e].append((i, e))
-        chains.append(path[:-max_nodes:-1])
-        branches.append(index[:-max_nodes:-1])
+    def __init__(self, tree: AstNode, limits: MinerLimits) -> None:
+        max_nodes = limits.max_path_nodes
+        reach_depth = max_nodes - 3
+        reach: dict[int, list[int]] = {}
+        chains: list[list[AstNode]] = []
+        branches: list[list[int]] = []
+        depths: list[int] = []
+        # internal nodes other than first children: the internal nodes that
+        # sit in some window
+        later: list[AstNode] = []
 
-    pairs: list[Pair] = []
-    append = pairs.append
-    for i, chain in enumerate(chains):
-        branch = branches[i]
-        # the ancestor chain[up] is reached through its child branch[up - 1]
-        for up in range(1, len(chain)):
-            budget = max_nodes - up - 2
-            k = branch[up - 1]
-            for child in chain[up].children[k + 1:k + 1 + width]:
-                for j, e in reach[id(child)]:
-                    if e <= budget:
-                        append((i, j, up, e + 1))
-    return chains, pairs
+        # preorder; from the root down to the current node, `path` holds the
+        # nodes, `index` each one's place among its parent's children and
+        # `lists` each one's reach list
+        path: list[AstNode] = []
+        index: list[int] = []
+        lists: list[list[int]] = []
+        stack = [(tree, 0, 0)]
+        while stack:
+            node, depth, k = stack.pop()
+            del path[depth:], index[depth:], lists[depth:]
+            path.append(node)
+            index.append(k)
+            reach[id(node)] = own = []
+            lists.append(own)
+            children = node.children
+            if children:
+                if k:
+                    later.append(node)
+                n = len(children)
+                stack.extend(zip(reversed(children), repeat(depth + 1, n),
+                                 range(n - 1, -1, -1)))
+                continue
+            i = len(chains)
+            for e in range(min(reach_depth, depth) + 1):
+                lists[depth - e].append(i)
+            chains.append(path[:-max_nodes:-1])
+            branches.append(index[:-max_nodes:-1])
+            depths.append(depth)
+        self.limits = limits
+        self.reach = reach
+        self.chains = chains
+        self.branches = branches
+        self.depths = depths
+        self.later = later
+
+    def counts(self) -> list[list[int]]:
+        """Per leaf, how many valid pairs it starts at each up = 1, 2, ...
+
+        The reach depths of each internal node in a window are sorted
+        once, so how many partners it holds down to a depth is one
+        bisection: its leaf counts by depth, cumulative. A leaf child is
+        always within reach.
+        """
+        max_nodes = self.limits.max_path_nodes
+        width = self.limits.max_path_width
+        depth_of = self.depths.__getitem__
+        ranked = {id(node): sorted(map(depth_of, self.reach[id(node)]))
+                  for node in self.later}
+        counts = []
+        for chain, branch, depth in zip(self.chains, self.branches,
+                                        self.depths):
+            per_up = []
+            for up in range(1, len(chain)):
+                deepest = depth + max_nodes - 1 - 2 * up
+                k = branch[up - 1]
+                n = 0
+                for child in chain[up].children[k + 1:k + 1 + width]:
+                    n += (bisect_right(ranked[id(child)], deepest)
+                          if child.children else 1)
+                per_up.append(n)
+            counts.append(per_up)
+        return counts
+
+    def locate(self, counts: list[list[int]],
+               picks: Sequence[int]) -> list[Pair]:
+        """The pairs at `picks`, ascending indices into the (i, j) order of
+        all valid pairs, given the counts() of this index.
+
+        Only the pairs of a leaf that turn where a pick falls are listed.
+        """
+        pairs: list[Pair] = []
+        k = 0
+        start = 0  # the index of the first pair of leaf i, then of its up
+        for i, per_up in enumerate(counts):
+            end = start + sum(per_up)
+            if k < len(picks) and picks[k] < end:
+                for up, n in enumerate(per_up, 1):
+                    if k < len(picks) and picks[k] < start + n:
+                        found = self.pairs((i,), only_up=up)
+                        while k < len(picks) and picks[k] < start + n:
+                            pairs.append(found[picks[k] - start])
+                            k += 1
+                    start += n
+            start = end
+        return pairs
+
+    def pairs(self, leaves: Iterable[int],
+              only_up: int | None = None) -> list[Pair]:
+        """The valid pairs that `leaves` start, in (i, j) order; with
+        `only_up`, only those that turn that many edges above leaf i.
+
+        For a fixed i the pairs come out with j ascending: the leaves under
+        the later children of a lower ancestor all precede those under the
+        later children of a higher one.
+        """
+        max_nodes = self.limits.max_path_nodes
+        width = self.limits.max_path_width
+        reach = self.reach
+        depths = self.depths
+        pairs: list[Pair] = []
+        append = pairs.append
+        for i in leaves:
+            chain = self.chains[i]
+            branch = self.branches[i]
+            depth = depths[i]
+            # the ancestor chain[up] is reached through its child
+            # branch[up - 1]; from it, a path may go down at most
+            # max_nodes - up - 1 edges, so to depth `deepest`
+            for up in (range(1, len(chain)) if only_up is None
+                       else (only_up,)):
+                deepest = depth + max_nodes - 1 - 2 * up
+                base = depth - up
+                k = branch[up - 1]
+                for child in chain[up].children[k + 1:k + 1 + width]:
+                    for j in reach[id(child)]:
+                        d = depths[j]
+                        if d <= deepest:
+                            append((i, j, up, d - base))
+        return pairs
 
 
 def _build(chains: list[list[AstNode]], pairs: list[Pair]) -> list[PathContext]:

@@ -3,7 +3,9 @@
 Discovers inputs split by split, processes one project at a time (first-level
 subdirectories, plus loose files under the split root), and runs the full
 stage chain per file on the calling thread, in discovery order, so output is
-the same at any `parallelism`, which starts no worker. Outputs are written
+the same at any `parallelism`, which starts no worker. A file's source text
+and its token and marker arrays are freed once its tree is built, so the
+later stages run beside one file's tree and lines. Outputs are written
 under staging names and moved into place together once the run has finished,
 so a run that fails or is interrupted leaves the previous dataset as it was.
 """
@@ -106,6 +108,9 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
     except (LexError, ParseError) as exc:
         return FileResult(relpath, str(exc), [])
     tree = build(tokens, markers, config.ignore)
+    # the tree holds all that the later stages read: free the source and the
+    # front end's arrays before they run
+    del text, tokens, markers
     if config.storage_format != "code2seq":
         # plain code2seq lines carry no types, and no stage reads them
         annotate_types(tree)

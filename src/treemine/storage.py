@@ -2,10 +2,13 @@
 
 Two output families: code2seq bag-of-paths lines (untyped or typed) and
 JSONL trees with preorder-numbered node arrays. Formatting is bit-exact:
-the same samples always produce the same bytes.
+the same samples always produce the same bytes. A JSONL line is joined from
+one string per node, escaped by json's own string encoder, so it holds the
+bytes `json.dumps` gives without building a dict per node.
 """
 
 import json
+import json.encoder
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,6 +17,10 @@ from typing import NamedTuple, Sequence, TextIO
 from .ast_builder import AstNode
 from .labels import LabeledTree
 from .paths import PathContext, split_subtokens
+
+# the string encoder of json.dumps with ensure_ascii: quotes, and escapes
+# control and non-ASCII characters
+_quote = json.encoder.encode_basestring_ascii
 
 FORMATS = ("code2seq", "code2seq_typed", "jsonl_trees")
 STATS_FILE = "stats.json"
@@ -104,26 +111,37 @@ def _sanitize_type(text: str) -> str:
 # -- JSONL tree format --------------------------------------------------------
 
 def format_jsonl_tree(sample: LabeledTree) -> str:
-    objects: list[dict] = []
+    """The JSON array of the tree's nodes in preorder, as one line.
+
+    The bytes are those of `json.dumps(nodes, separators=(",", ":"))` over
+    one dict per node: "type", then "value", "token_type" and "children"
+    where present, and "label" on the root. Each node is written as one
+    string as it is numbered, and the child ids of internal nodes are
+    filled in once every node has its id.
+    """
+    pieces: list[str] = []
+    internal: list[tuple[int, list[int]]] = []  # (id, child ids)
     # (node, the id list of its parent's children); children are pushed in
     # reverse so that they are numbered, and listed, in preorder
     stack: list[tuple[AstNode, list[int] | None]] = [(sample.tree, None)]
     while stack:
         node, sibling_ids = stack.pop()
         if sibling_ids is not None:
-            sibling_ids.append(len(objects))
-        obj: dict = {"type": node.node_type}
+            sibling_ids.append(len(pieces))
+        piece = '{"type":' + _quote(node.node_type)
         if node.token is not None:
-            obj["value"] = node.token
+            piece += ',"value":' + _quote(node.token)
         if node.resolved_type is not None:
-            obj["token_type"] = node.resolved_type
+            piece += ',"token_type":' + _quote(node.resolved_type)
         if node.children:
-            child_ids: list[int] = []
-            obj["children"] = child_ids
-            stack.extend((child, child_ids) for child in reversed(node.children))
-        objects.append(obj)
-    objects[0]["label"] = sample.label
-    return json.dumps(objects, separators=(",", ":")) + "\n"
+            ids: list[int] = []
+            internal.append((len(pieces), ids))
+            stack.extend((child, ids) for child in reversed(node.children))
+        pieces.append(piece)
+    for own_id, ids in internal:
+        pieces[own_id] += ',"children":[' + ",".join(map(str, ids)) + "]"
+    pieces[0] += ',"label":' + _quote(sample.label)
+    return "[" + "},".join(pieces) + "}]\n"
 
 
 def format_sample(sample: LabeledTree, contexts: list[PathContext],

@@ -1,14 +1,17 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemine import (MinerLimits, NO_TYPE, enumerate_paths, mine,
-                      sample_contexts, split_subtokens)
+                      sample_contexts, split, split_subtokens)
+from treemine import paths
 from treemine.ast_builder import AstNode
 
-from conftest import random_ast
+from conftest import build, random_ast
 from oracle_paths import oracle_enumerate
 
 WIDE_OPEN = MinerLimits(max_path_nodes=10_000, max_path_width=10_000,
@@ -244,6 +247,75 @@ def test_deep_chain_mines_without_recursion():
     assert len(contexts) > limits.max_contexts
     assert mine(tree, limits, "deep") == sample_contexts(
         contexts, limits, tree_key=f"deep:{n_leaves}")
+
+
+@given(ast_trees(), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=4),
+       st.integers(min_value=1, max_value=6), st.text(max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_counted_draw_matches_oracle(tree, max_nodes, width, max_contexts,
+                                     label):
+    limits = MinerLimits(max_path_nodes=max_nodes, max_path_width=width,
+                         max_contexts=max_contexts)
+    n_leaves = sum(1 for _ in tree.leaves())
+    with pytest.MonkeyPatch.context() as patch:
+        # with no pairs listed outright, every bag is counted and located
+        patch.setattr(paths, "LIST_FACTOR", 0)
+        contexts = mine(tree, limits, label)
+    assert contexts == sample_contexts(
+        oracle_enumerate(tree, max_nodes, width), limits,
+        tree_key=f"{label}:{n_leaves}")
+
+
+def else_if_probe(branches):
+    """One method of `branches` if statements joined by else."""
+    body = " else ".join(f"if (x == {i}) {{ y = {i}; }}"
+                         for i in range(branches))
+    source = (f"class Probe {{ int probe(int x) {{ int y = 0; {body} "
+              "return y; } }")
+    return split(build(source), "method")[0]
+
+
+# SHA-256 of the repr lines of sample_contexts(enumerate_paths(...)) for the
+# 1,000-branch probe at limits (60, 30), as the all-pairs miner drew them
+PROBE_60_30 = ("4589870a28f69a349a8068ffe9ce4754"
+               "db34df84020dfa0b137f590c4a161098")
+
+
+def test_miner_memory_does_not_grow_with_the_valid_pairs():
+    # 4,008 leaves and 817,652 valid pairs: listing them all peaked at 82 MiB
+    unit = else_if_probe(1000)
+    limits = MinerLimits(max_path_nodes=60, max_path_width=30)
+    tracemalloc.start()
+    try:
+        contexts = mine(unit, limits, "probe")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert len(contexts) == limits.max_contexts
+    digest = hashlib.sha256(
+        "\n".join(map(repr, contexts)).encode("utf-8")).hexdigest()
+    assert digest == PROBE_60_30
+
+
+def test_unbounded_path_length_allocates_nothing_per_limit(monkeypatch):
+    limits = MinerLimits(max_path_nodes=10**9, max_path_width=3,
+                         max_contexts=7)
+    tree = binary_tree()
+    tree.children.append(node("CODE_BLOCK", flat_tree(5)))
+    want = oracle_enumerate(tree, limits.max_path_nodes,
+                            limits.max_path_width)
+    tracemalloc.start()
+    try:
+        assert enumerate_paths(tree, limits) == want
+        monkeypatch.setattr(paths, "LIST_FACTOR", 0)
+        contexts = mine(tree, limits, "wide")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert contexts == sample_contexts(want, limits, tree_key="wide:9")
 
 
 def make_contexts(n):

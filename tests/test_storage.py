@@ -3,12 +3,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treemine import (LabeledTree, MinerLimits, PathContext, RunStatistics,
-                      StorageSpec, enumerate_paths)
+                      StorageSpec, annotate_types, enumerate_paths)
 from treemine.ast_builder import AstNode
 from treemine.storage import (finalize, format_code2seq, format_jsonl_tree,
                               format_sample)
+
+from conftest import GOLDEN_DIR, build
+from oracle_storage import dumps_jsonl_tree
 
 
 def ctx(start, path, end, start_type="NO_TYPE", end_type="NO_TYPE"):
@@ -158,6 +163,64 @@ def test_jsonl_round_trips_to_equal_tree():
                        children=[rebuild(c) for c in raw.get("children", [])])
 
     assert rebuild(0) == tree
+
+
+
+# every control character, quote, backslash, DEL, Latin, CJK and an astral
+# character, which json escapes as a surrogate pair
+AWKWARD = "".join(map(chr, range(32))) + '"\\/\x7fé中😀'
+
+
+@pytest.mark.parametrize("text", [
+    AWKWARD, "", '"', "\\", "\n\t", "\x00", "\x7f", "é", "中", "😀",
+    "a\u2028b", "\ud800",
+], ids=repr)
+def test_jsonl_matches_json_dumps_on_awkward_text(text):
+    tree = AstNode("BINARY_EXPR:||", children=[
+        AstNode("LITERAL", token=text, resolved_type=text),
+        AstNode(text, children=[AstNode("IDENTIFIER", token="x")])])
+    for sample in (LabeledTree(text, tree),
+                   LabeledTree("NO_LABEL", AstNode("LITERAL", token=text))):
+        assert format_jsonl_tree(sample) == dumps_jsonl_tree(sample)
+
+
+_TEXTS = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def jsonl_trees(draw):
+    """Trees of fan-out 0-4 and at most about 40 nodes with any text."""
+    budget = draw(st.integers(min_value=1, max_value=40))
+
+    def grow():
+        nonlocal budget
+        budget -= 1
+        fan_out = draw(st.integers(min_value=0,
+                                     max_value=max(0, min(4, budget))))
+        node_type = draw(st.sampled_from(
+            ["FILE", "BINARY_EXPR:||", "IDENTIFIER", "LITERAL"]))
+        if fan_out == 0:
+            return AstNode(node_type, token=draw(st.none() | _TEXTS),
+                           resolved_type=draw(st.none() | _TEXTS))
+        return AstNode(node_type, children=[grow() for _ in range(fan_out)])
+
+    return LabeledTree(draw(_TEXTS), grow())
+
+
+@given(jsonl_trees())
+@settings(max_examples=200)
+def test_jsonl_matches_json_dumps_on_random_trees(sample):
+    assert format_jsonl_tree(sample) == dumps_jsonl_tree(sample)
+
+
+def test_jsonl_matches_json_dumps_on_non_ascii_source():
+    path = GOLDEN_DIR / "input" / "train" / "libA" / "util" / "Strings.java"
+    text = path.read_text(encoding="utf-8")
+    assert not text.isascii()
+    tree = build(text)
+    annotate_types(tree)
+    sample = LabeledTree("NO_LABEL", tree)
+    assert format_jsonl_tree(sample) == dumps_jsonl_tree(sample)
 
 
 def test_format_sample_dispatch():
