@@ -15,10 +15,15 @@ pairs from it. `enumerate_paths` lists every valid pair. `mine` counts them
 on a large unit instead: it draws the sample from the count, locates only
 the drawn pairs and builds only the contexts it keeps, so its memory grows
 with the leaves and the limits, not with the valid pairs.
+
+The seed of each drawn sample is the SHA-256 of a short key, computed here
+rather than with `hashlib`, which maps OpenSSL's libcrypto, about 3.6 MB of
+resident memory, into every process that imports it.
 """
 
 import random
 import re
+import struct
 from bisect import bisect_right
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -112,13 +117,70 @@ def _picks(n: int, limits: MinerLimits, tree_key: str) -> range | list[int]:
     """Indices, ascending, of the max_contexts of n contexts that are kept."""
     if n <= limits.max_contexts:
         return range(n)
-    # imported here: only a bag over max_contexts needs SHA-256, and hashlib
-    # maps OpenSSL's libcrypto, a few MB, into every process that imports it
-    import hashlib
-    digest = hashlib.sha256(
-        f"{limits.rng_seed}:{tree_key}".encode("utf-8")).digest()
+    digest = _sha256(f"{limits.rng_seed}:{tree_key}".encode("utf-8"))
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     return sorted(rng.sample(range(n), limits.max_contexts))
+
+
+# FIPS 180-4: the first 32 bits of the fractional parts of the cube roots of
+# the first 64 primes, and of the square roots of the first 8
+_K = (
+    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1,
+    0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
+    0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174, 0xE49B69C1, 0xEFBE4786,
+    0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
+    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
+    0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
+    0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85, 0xA2BFE8A1, 0xA81A664B,
+    0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
+    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A,
+    0x5B9CCA4F, 0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
+    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2)
+_H = (0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
+      0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19)
+
+
+def _sha256(data: bytes) -> bytes:
+    """The SHA-256 digest of `data` (FIPS 180-4).
+
+    Words are below 2**32. `x * 0x100000001` holds two copies of the word
+    x side by side, so its low 32 bits shifted right by n are x rotated
+    right by n. Bits above bit 31 do not change the low 32 bits of a sum,
+    so a word is masked only once it is stored.
+    """
+    size = len(data)
+    data += (b"\x80" + bytes(-(size + 9) % 64)
+             + (8 * size).to_bytes(8, "big"))
+    state = _H
+    for offset in range(0, len(data), 64):
+        w = list(struct.unpack_from(">16I", data, offset))
+        for t in range(16, 64):
+            x = w[t - 15]
+            y = w[t - 2]
+            xx = x * 0x100000001
+            yy = y * 0x100000001
+            w.append((w[t - 16] + w[t - 7] + (xx >> 7 ^ xx >> 18 ^ x >> 3)
+                      + (yy >> 17 ^ yy >> 19 ^ y >> 10)) & 0xFFFFFFFF)
+        a, b, c, d, e, f, g, h = state
+        # Ch(e, f, g) is g ^ e & (f ^ g) and Maj(a, b, c) is
+        # a & b | c & (a | b), each an operation shorter than in FIPS 180-4
+        for k, x in zip(_K, w):
+            ee = e * 0x100000001
+            aa = a * 0x100000001
+            t1 = (h + x + k + (g ^ e & (f ^ g))
+                  + (ee >> 6 ^ ee >> 11 ^ ee >> 25))
+            t2 = (a & b | c & (a | b)) + (aa >> 2 ^ aa >> 13 ^ aa >> 22)
+            h = g
+            g = f
+            f = e
+            e = (d + t1) & 0xFFFFFFFF
+            d = c
+            c = b
+            b = a
+            a = (t1 + t2) & 0xFFFFFFFF
+        state = [(s + v) & 0xFFFFFFFF
+                 for s, v in zip(state, (a, b, c, d, e, f, g, h))]
+    return struct.pack(">8I", *state)
 
 
 class _LeafIndex:

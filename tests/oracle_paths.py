@@ -4,7 +4,13 @@ Derives leaf-to-leaf paths from parent maps and explicit ancestor walks.
 This takes a different route than the production miner (which pairs each
 leaf with the leaves under its ancestors' later children), so agreement
 between the two is meaningful evidence.
+
+The reference sampler derives the seed of a drawn sample with `hashlib`,
+not with the package's own SHA-256.
 """
+
+import hashlib
+import random
 
 from treemine import NO_TYPE, split_subtokens
 from treemine.paths import PathContext
@@ -74,3 +80,14 @@ def oracle_enumerate(root, max_path_nodes, max_path_width):
                 end_type=b.resolved_type or NO_TYPE,
             ))
     return out
+
+
+def oracle_picks(n, max_contexts, rng_seed, tree_key):
+    """Indices, ascending, of the contexts kept of n: all of them up to
+    max_contexts, else a sample seeded by the first 8 bytes, big-endian, of
+    the SHA-256 of "rng_seed:tree_key" in UTF-8."""
+    if n <= max_contexts:
+        return list(range(n))
+    digest = hashlib.sha256(f"{rng_seed}:{tree_key}".encode("utf-8")).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    return sorted(rng.sample(range(n), max_contexts))

@@ -1,18 +1,24 @@
-"""What a run loads: OpenSSL's libcrypto only for a run that draws a sample.
+"""What a run loads: no run maps OpenSSL's libcrypto.
 
 `hashlib` maps libcrypto, a few MB of a run's peak RSS, as it is imported.
-Only a bag of more than max_contexts path-contexts needs SHA-256, so a
-`jsonl_trees` run and a dry run must not import it. Each run happens in a
-fresh `python -S` process, so no test or plugin can have loaded it first.
+The one SHA-256 a run needs, the seed of each drawn sample, is computed by
+`treemine.paths`, so no module of the package imports `hashlib` and no run
+loads `_hashlib`, whether it draws samples, writes trees or is a dry run.
+Each run happens in a fresh `python -S` process, so no test or plugin can
+have loaded it first.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import GOLDEN_DIR, write_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "treemine").glob("*.py"))
 
 _RUN = """
 import sys
@@ -52,6 +58,42 @@ def test_dry_run_does_not_load_openssl(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_run_that_draws_loads_openssl(tmp_path):
-    # one context per method leaves a bag to draw from in every method
-    assert loads_openssl(tmp_path, "code2seq", 1)
+def test_a_run_that_draws_does_not_load_openssl(tmp_path):
+    for storage_format in ("code2seq", "code2seq_typed"):
+        run_dir = tmp_path / storage_format
+        run_dir.mkdir()
+        assert not loads_openssl(run_dir, storage_format, 1)
+        # every golden unit holds at least three contexts, so one context
+        # per line means that a sample was drawn from every bag
+        for split in ("train", "val", "test"):
+            name = f"golden.{split}.c2s"
+            written = (run_dir / "out" / name).read_text().splitlines()
+            golden = (GOLDEN_DIR / "expected" / storage_format / name
+                      ).read_text().splitlines()
+            assert len(written) == len(golden) > 0
+            assert all(len(line.split(" ")) >= 4 for line in golden)
+            assert all(len(line.split(" ")) == 2 for line in written)
+
+
+def imported_names(source):
+    """The modules that `source` imports, at any depth, absolute only."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return names
+
+
+def test_import_finder_sees_nested_imports():
+    source = ("import os\nfrom hashlib import sha256\n"
+              "def f():\n    import _hashlib\n")
+    assert imported_names(source) == ["os", "hashlib", "_hashlib"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_hashlib(path):
+    names = imported_names(path.read_text(encoding="utf-8"))
+    assert not [name for name in names
+                if name.partition(".")[0] in ("hashlib", "_hashlib")]

@@ -12,7 +12,7 @@ from treemine import paths
 from treemine.ast_builder import AstNode
 
 from conftest import build, random_ast
-from oracle_paths import oracle_enumerate
+from oracle_paths import oracle_enumerate, oracle_picks
 
 WIDE_OPEN = MinerLimits(max_path_nodes=10_000, max_path_width=10_000,
                         max_contexts=10_000_000)
@@ -316,6 +316,81 @@ def test_unbounded_path_length_allocates_nothing_per_limit(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**20
     assert contexts == sample_contexts(want, limits, tree_key="wide:9")
+
+
+# the FIPS 180-4 examples: the empty message, "abc", and a 448-bit message
+# whose padding takes a second block
+@pytest.mark.parametrize("message,digest", [
+    (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (b"abc",
+     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+    (b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
+])
+def test_sha256_standard_vectors(message, digest):
+    assert paths._sha256(message).hex() == digest
+
+
+def test_sha256_matches_hashlib_across_padding_edges():
+    # 55 bytes is the longest message whose length fits in its last block,
+    # and 64 fills a block
+    for size in range(201):
+        message = bytes((7 * k + size) % 256 for k in range(size))
+        assert paths._sha256(message) == hashlib.sha256(message).digest(), size
+
+
+@pytest.mark.parametrize("key", ["0:é:3", "0:中:12", "7:\U0001d518:5",
+                                 "-1:" + "é中\U0001d518" * 20 + ":9"])
+def test_sha256_matches_hashlib_on_utf8_keys(key):
+    message = key.encode("utf-8")
+    assert paths._sha256(message) == hashlib.sha256(message).digest()
+
+
+# tree keys of one and two blocks, ASCII or not: a seed's key is
+# "rng_seed:label:leaf count", and 56 bytes or more take a second block
+SAMPLER_KEYS = ["", "fib:12", "getName:7", "größe:4", "中文名:30",
+                "\U0001d518:2", "x" * 51 + ":1", "x" * 52 + ":1",
+                "getAVeryLongMethodNameThatFillsMoreThanOneBlock:1234",
+                "名前" * 20 + ":64"]
+
+
+def test_sampler_matches_hashlib_reference():
+    indices = list(range(1000))
+    for key in SAMPLER_KEYS:
+        for n in (0, 1, 5, 6, 41, 1000):
+            for seed in (0, 1, -7, 2**70):
+                for cap in (1, 5, 40):
+                    limits = MinerLimits(max_contexts=cap, rng_seed=seed)
+                    assert sample_contexts(indices[:n], limits, key) == \
+                        oracle_picks(n, cap, seed, key), (key, n, seed, cap)
+
+
+@given(st.integers(min_value=0, max_value=400),
+       st.integers(min_value=1, max_value=40), st.integers(),
+       st.text(max_size=40))
+@settings(max_examples=300)
+def test_sampler_matches_hashlib_reference_on_random_keys(n, cap, seed, key):
+    limits = MinerLimits(max_contexts=cap, rng_seed=seed)
+    assert sample_contexts(list(range(n)), limits, key) == \
+        oracle_picks(n, cap, seed, key)
+
+
+@given(ast_trees(), st.integers(min_value=1, max_value=6), st.integers(),
+       st.sampled_from(["é", "中", "\U0001d518", "m" * 60, "中" * 20])
+       | st.text(max_size=20), st.sampled_from([0, paths.LIST_FACTOR]))
+@settings(max_examples=200, deadline=None)
+def test_miner_draws_as_hashlib_reference(tree, max_contexts, seed, label,
+                                          list_factor):
+    limits = MinerLimits(max_contexts=max_contexts, rng_seed=seed)
+    want = oracle_enumerate(tree, limits.max_path_nodes,
+                            limits.max_path_width)
+    n_leaves = sum(1 for _ in tree.leaves())
+    with pytest.MonkeyPatch.context() as patch:
+        # at 0 every bag is counted and located, not listed
+        patch.setattr(paths, "LIST_FACTOR", list_factor)
+        contexts = mine(tree, limits, label)
+    assert contexts == [want[k] for k in oracle_picks(
+        len(want), max_contexts, seed, f"{label}:{n_leaves}")]
 
 
 def make_contexts(n):
