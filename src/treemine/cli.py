@@ -59,6 +59,9 @@ def _print_plan(config) -> None:
         print(f"split {split_name}: {len(projects)} project(s), "
               f"{total} file(s) -> {out_path}")
         for label, files in projects:
+            # a name's undecodable bytes are surrogate escapes, which a strict
+            # UTF-8 stdout refuses: they are printed as backslash escapes
+            label = label.encode("utf-8", "backslashreplace").decode("utf-8")
             print(f"  project {label}: {len(files)} file(s)")
 
 

@@ -8,6 +8,7 @@ that would silently defeat the granularity, the label extractor or a filter.
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,14 +201,16 @@ def _object(value, where: str, keys, problems: list[str]) -> bool:
 
 
 def _str_field(raw: dict, key: str, problems: list[str], default=None):
-    """A nonempty string; a key without a default is required."""
+    """A nonempty string a path can hold. A key with no default is required."""
     if key not in raw:
         if default is None:
             problems.append(f"missing required key: {key}")
-    elif isinstance(raw[key], str) and raw[key]:
-        return raw[key]
-    else:
+    elif not isinstance(raw[key], str) or not raw[key]:
         problems.append(f"{key} must be a nonempty string")
+    elif re.search("[\0\ud800-\udfff]", raw[key]):
+        problems.append(f"{key} must not hold NUL or text UTF-8 cannot encode")
+    else:
+        return raw[key]
     return default
 
 

@@ -11,10 +11,11 @@ the node-count limit allows and meets only the leaves of the next
 leaves within reach of each leaf, not with all pairs.
 
 One index of the leaves serves both entry points, and one walker lists
-pairs from it. `enumerate_paths` lists every valid pair. `mine` counts them
-on a large unit instead: it draws the sample from the count, locates only
-the drawn pairs and builds only the contexts it keeps, so its memory grows
-with the leaves and the limits, not with the valid pairs.
+pairs from it. `enumerate_paths` lists every valid pair. On a large unit,
+`mine` lists each leaf's pairs in turn only to count them: it draws the
+sample from the count, lists again only the leaves where a drawn pair falls
+and builds only the contexts it keeps, so its memory grows with the leaves
+and the limits, not with the valid pairs.
 
 The seed of each drawn sample is the SHA-256 of a short key, computed here
 rather than with `hashlib`, which maps OpenSSL's libcrypto, about 3.6 MB of
@@ -24,7 +25,6 @@ resident memory, into every process that imports it.
 import random
 import re
 import struct
-from bisect import bisect_right
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -88,8 +88,8 @@ def sample_contexts(contexts: list[PathContext], limits: MinerLimits,
 
 
 # A unit with at most this many times max_contexts leaf pairs in all has
-# its valid pairs listed, and the sample drawn from the list: listing them
-# costs no more than counting them, and they take little memory.
+# its valid pairs listed once and drawn from: while they are few, they take
+# little memory, and listing once beats listing twice (count, then locate).
 LIST_FACTOR = 64
 
 
@@ -97,9 +97,9 @@ def mine(tree: AstNode, limits: MinerLimits, label: str) -> list[PathContext]:
     """What sample_contexts keeps of enumerate_paths(tree, limits).
 
     The tree key is `label:leaf count`. A unit with more than LIST_FACTOR *
-    max_contexts leaf pairs has its valid pairs counted, not listed: the
-    sample is drawn from the count, and only the drawn pairs are located.
-    So memory does not grow with the number of valid pairs.
+    max_contexts leaf pairs has its pairs counted a leaf at a time: the
+    sample is drawn from the count, and only the leaves where a pick falls
+    are listed again. So memory does not grow with the number of valid pairs.
     """
     index = _LeafIndex(tree, limits)
     n_leaves = len(index.chains)
@@ -108,8 +108,8 @@ def mine(tree: AstNode, limits: MinerLimits, label: str) -> list[PathContext]:
         pairs = index.pairs(range(n_leaves))
         picks = _picks(len(pairs), limits, tree_key)
         return _build(index.chains, [pairs[k] for k in picks])
-    counts = index.counts()
-    picks = _picks(sum(map(sum, counts)), limits, tree_key)
+    counts = [len(index.pairs((i,))) for i in range(n_leaves)]
+    picks = _picks(sum(counts), limits, tree_key)
     return _build(index.chains, index.locate(counts, picks))
 
 
@@ -201,9 +201,6 @@ class _LeafIndex:
         chains: list[list[AstNode]] = []
         branches: list[list[int]] = []
         depths: list[int] = []
-        # internal nodes other than first children: the internal nodes that
-        # sit in some window
-        later: list[AstNode] = []
 
         # preorder; from the root down to the current node, `path` holds the
         # nodes, `index` each one's place among its parent's children and
@@ -221,8 +218,6 @@ class _LeafIndex:
             lists.append(own)
             children = node.children
             if children:
-                if k:
-                    later.append(node)
                 n = len(children)
                 stack.extend(zip(reversed(children), repeat(depth + 1, n),
                                  range(n - 1, -1, -1)))
@@ -238,63 +233,27 @@ class _LeafIndex:
         self.chains = chains
         self.branches = branches
         self.depths = depths
-        self.later = later
 
-    def counts(self) -> list[list[int]]:
-        """Per leaf, how many valid pairs it starts at each up = 1, 2, ...
-
-        The reach depths of each internal node in a window are sorted
-        once, so how many partners it holds down to a depth is one
-        bisection: its leaf counts by depth, cumulative. A leaf child is
-        always within reach.
-        """
-        max_nodes = self.limits.max_path_nodes
-        width = self.limits.max_path_width
-        depth_of = self.depths.__getitem__
-        ranked = {id(node): sorted(map(depth_of, self.reach[id(node)]))
-                  for node in self.later}
-        counts = []
-        for chain, branch, depth in zip(self.chains, self.branches,
-                                        self.depths):
-            per_up = []
-            for up in range(1, len(chain)):
-                deepest = depth + max_nodes - 1 - 2 * up
-                k = branch[up - 1]
-                n = 0
-                for child in chain[up].children[k + 1:k + 1 + width]:
-                    n += (bisect_right(ranked[id(child)], deepest)
-                          if child.children else 1)
-                per_up.append(n)
-            counts.append(per_up)
-        return counts
-
-    def locate(self, counts: list[list[int]],
-               picks: Sequence[int]) -> list[Pair]:
+    def locate(self, counts: list[int], picks: Sequence[int]) -> list[Pair]:
         """The pairs at `picks`, ascending indices into the (i, j) order of
-        all valid pairs, given the counts() of this index.
+        all valid pairs, given how many pairs each leaf starts.
 
-        Only the pairs of a leaf that turn where a pick falls are listed.
+        Only the pairs of the leaves where a pick falls are listed again.
         """
         pairs: list[Pair] = []
         k = 0
-        start = 0  # the index of the first pair of leaf i, then of its up
-        for i, per_up in enumerate(counts):
-            end = start + sum(per_up)
-            if k < len(picks) and picks[k] < end:
-                for up, n in enumerate(per_up, 1):
-                    if k < len(picks) and picks[k] < start + n:
-                        found = self.pairs((i,), only_up=up)
-                        while k < len(picks) and picks[k] < start + n:
-                            pairs.append(found[picks[k] - start])
-                            k += 1
-                    start += n
-            start = end
+        start = 0  # the index of the first pair of leaf i
+        for i, n in enumerate(counts):
+            if k < len(picks) and picks[k] < start + n:
+                found = self.pairs((i,))
+                while k < len(picks) and picks[k] < start + n:
+                    pairs.append(found[picks[k] - start])
+                    k += 1
+            start += n
         return pairs
 
-    def pairs(self, leaves: Iterable[int],
-              only_up: int | None = None) -> list[Pair]:
-        """The valid pairs that `leaves` start, in (i, j) order; with
-        `only_up`, only those that turn that many edges above leaf i.
+    def pairs(self, leaves: Iterable[int]) -> list[Pair]:
+        """The valid pairs that `leaves` start, in (i, j) order.
 
         For a fixed i the pairs come out with j ascending: the leaves under
         the later children of a lower ancestor all precede those under the
@@ -313,8 +272,7 @@ class _LeafIndex:
             # the ancestor chain[up] is reached through its child
             # branch[up - 1]; from it, a path may go down at most
             # max_nodes - up - 1 edges, so to depth `deepest`
-            for up in (range(1, len(chain)) if only_up is None
-                       else (only_up,)):
+            for up in range(1, len(chain)):
                 deepest = depth + max_nodes - 1 - 2 * up
                 base = depth - up
                 k = branch[up - 1]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -138,6 +139,55 @@ def test_dataset_name_that_is_a_path_exits_before_any_output(
     assert ("dataset_name must be a file name, not a path"
             in capsys.readouterr().err)
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# the operating system takes a path as UTF-8 ended by NUL, so no run can
+# create or open a path that holds one of these
+_UNHOLDABLE_PATHS = [("output_dir", "out\0"), ("output_dir", "out\ud800"),
+                     ("dataset_name", "data\0set"), ("dataset_name", "a\ud800"),
+                     ("input_dir", "in\0"), ("input_dir", "in\ud800")]
+
+
+@pytest.mark.parametrize("key, value", _UNHOLDABLE_PATHS)
+def test_path_the_os_cannot_hold_exits_before_any_output(
+        tmp_path, capsys, key, value):
+    write_files(tmp_path / "in", {"A.java": SOURCE})
+    cfg = {**base_config(tmp_path / "in", tmp_path / "out"), key: value}
+    config_path = write_config(tmp_path, cfg)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["--config", str(config_path)]) == EXIT_CONFIG
+    assert (f"{key} must not hold NUL or text UTF-8 cannot encode"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("key, value", _UNHOLDABLE_PATHS)
+def test_dry_run_with_a_path_the_os_cannot_hold_prints_no_plan(
+        tmp_path, capsys, key, value):
+    write_files(tmp_path / "in", {"A.java": SOURCE})
+    cfg = {**base_config(tmp_path / "in", tmp_path / "out"), key: value}
+    config_path = write_config(tmp_path, cfg)
+    assert main(["--config", str(config_path), "--dry-run"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{key} must not hold NUL" in captured.err
+    assert captured.out == ""
+
+
+def test_dry_run_escapes_an_undecodable_project_name(tmp_path, capsys):
+    # capsys's stdout is strict UTF-8, as under a UTF-8 locale; the name's
+    # byte 0xff decodes to the surrogate escape U+DCFF
+    config_path = setup_run(tmp_path)
+    try:
+        project = os.path.join(os.fsencode(tmp_path / "in"), b"\xffproj")
+        os.mkdir(project)
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    with open(os.path.join(project, b"B.java"), "w", encoding="utf-8") as f:
+        f.write(SOURCE)
+    assert main(["--config", str(config_path), "--dry-run"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "split data: 2 project(s), 2 file(s)" in out
+    assert "  project \\udcffproj: 1 file(s)\n" in out
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -491,6 +491,19 @@ _NO_STORAGE = {k: v for k, v in valid().items() if k != "storage"}
      ["dataset_name must be a file name, not a path"]),
     (valid(dataset_name="sub/x"),
      ["dataset_name must be a file name, not a path"]),
+    # the operating system takes a path as UTF-8 ended by NUL
+    ({**valid(), "input_dir": "in\0", "output_dir": "/tmp/\0out",
+      "dataset_name": "d\0"}, [
+        "input_dir must not hold NUL or text UTF-8 cannot encode",
+        "output_dir must not hold NUL or text UTF-8 cannot encode",
+        "dataset_name must not hold NUL or text UTF-8 cannot encode",
+    ]),
+    ({**valid(), "input_dir": "in\ud800", "output_dir": "/tmp/\udcffout",
+      "dataset_name": "a\udfff"}, [
+        "input_dir must not hold NUL or text UTF-8 cannot encode",
+        "output_dir must not hold NUL or text UTF-8 cannot encode",
+        "dataset_name must not hold NUL or text UTF-8 cannot encode",
+    ]),
 ], ids=["empty", "sections_not_objects", "filters_not_list",
         "label_extractor_null", "miner_null", "storage_missing",
         "storage_null", "storage_empty", "unknown_keys_everywhere",
@@ -498,6 +511,7 @@ _NO_STORAGE = {k: v for k, v in valid().items() if k != "storage"}
         "bad_extractor_name", "extractor_tokens_under_none",
         "extractor_tokens_under_method_name", "bad_miner_values",
         "bad_parallelism", "method_only_on_file", "ignore_conflicts",
-        "dataset_name_in_parent", "dataset_name_in_subdirectory"])
+        "dataset_name_in_parent", "dataset_name_in_subdirectory",
+        "paths_holding_nul", "paths_holding_lone_surrogates"])
 def test_complete_problem_lists(cfg, expected):
     assert problems_of(cfg) == expected
