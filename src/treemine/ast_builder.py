@@ -8,7 +8,8 @@ one bottom-up pass, with no CST in between. A kind is the string of its name,
 so it becomes the `node_type` as it is. `build` drops whitespace and the
 kinds in the ignore set, a plain set of kind names: ignored leaves (comments
 among them) go, and an ignored internal kind is spliced out node-wise, its
-children hoisted into the parent. Every span comes from the token arrays.
+children hoisted into the parent. Only a node that can be a unit gets a
+span, the lines that the `code_lines` filter reads.
 The parser is the one producer of markers: `build_ast` takes the CST that
 `parser.parse_file` returned and builds from the tokens and markers kept on
 its root, without walking the CST.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .cst import (COMMENT_KINDS, CstKind, CstNode, Marker, SourceSpan,
-                  Tokens, TRIVIA_KINDS, new_span)
+                  Tokens, TRIVIA_KINDS)
 
 # Kinds whose leaves are structural punctuation/keywords; dropped by default
 # because their information lives in the parent node_type.
@@ -32,19 +33,28 @@ _MODIFIER_NAMES = ("MODIFIER", "ANNOTATION")
 
 _OPERATOR_SUFFIXED = (CstKind.BINARY_EXPR, CstKind.UNARY_EXPR)
 
+# the node types of method-level units
+METHOD_NODE_TYPES = (CstKind.METHOD_DECL, CstKind.CONSTRUCTOR_DECL)
+
+# the kinds that `granularity.split` returns as units at some level, the only
+# ones that `build` gives a span
+UNIT_KINDS = (CstKind.FILE, CstKind.CLASS_DECL) + METHOD_NODE_TYPES
+
 
 @dataclass(slots=True)
 class AstNode:
     """Simplified tree node. Leaves carry tokens, internal nodes do not.
 
-    span is provenance for line-based filtering and is excluded from
-    equality. resolved_type stays None until type_resolver fills it in.
+    A leaf's children are the shared empty tuple, so it is not equal to a
+    leaf built with `children=[]`. span is None except on nodes that can be
+    units, and takes no part in equality. resolved_type stays None until
+    type_resolver fills it in.
     """
 
     node_type: str
     token: str | None = None
     resolved_type: str | None = None
-    children: list["AstNode"] = field(default_factory=list)
+    children: "list[AstNode] | tuple[()]" = ()
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def is_leaf(self) -> bool:
@@ -117,8 +127,7 @@ def build(tokens: Tokens, markers: list[Marker],
     between them. The FILE root is never dropped; a file whose content is
     dropped entirely yields a childless FILE node.
     """
-    kinds, texts, lines, offsets = tokens
-    span = tokens.span
+    kinds, texts, _ = tokens
     drop = (ignore | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
     # (first, end, AST nodes) of completed nodes whose parent is still open;
     # a dropped node leaves its children, a removed one nothing
@@ -131,9 +140,7 @@ def build(tokens: Tokens, markers: list[Marker],
                            if kinds[i] not in TRIVIA_KINDS]
             if any(kinds[i] in drop for i in significant):
                 text = "".join(texts[i] for i in significant)
-                done.append((first, end, [AstNode(
-                    kind, text, None, [], span(first, end))]
-                    if text else []))
+                done.append((first, end, [AstNode(kind, text)] if text else []))
                 continue
         # the node's own tokens lie in the gaps around its child nodes
         kids.append((end, end, ()))
@@ -144,12 +151,7 @@ def build(tokens: Tokens, markers: list[Marker],
             for i in range(pos, child_first):
                 token_kind = kinds[i]
                 if token_kind not in drop:
-                    # tokens.span(i, i + 1), inlined: one per leaf
-                    children.append(AstNode(
-                        token_kind, texts[i], None, [],
-                        new_span(SourceSpan, (
-                            offsets[i], offsets[i + 1], lines[i],
-                            lines[i + 1] - (texts[i][-1] == "\n")))))
+                    children.append(AstNode(token_kind, texts[i]))
                 elif token_kind == CstKind.OPERATOR and op is None:
                     op = texts[i]
             children += nodes
@@ -163,8 +165,9 @@ def build(tokens: Tokens, markers: list[Marker],
             node_type = kind
             if op and kind in _OPERATOR_SUFFIXED:
                 node_type = f"{node_type}:{op}"
+            span = tokens.span(first, end) if kind in UNIT_KINDS else None
             done.append((first, end, [AstNode(node_type, None, None, children,
-                                              span(first, end))]))
+                                              span)]))
         else:
             done.append((first, end, []))
     return done[0][2][0]

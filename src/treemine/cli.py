@@ -67,3 +67,7 @@ def _print_plan(config) -> None:
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

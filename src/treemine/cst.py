@@ -1,8 +1,8 @@
 """Token arrays and the concrete syntax tree model.
 
-The lexer scans a file into `Tokens`: parallel lists of kind, text, start
-line and offset, with no object per token. The parser marks node
-ranges over those lists, and both trees are built from tokens plus markers.
+The lexer scans a file into `Tokens`: parallel lists of kind, text and start
+line, with no object per token. The parser marks node ranges over those
+lists, and both trees are built from tokens plus markers.
 
 A node kind is the string of its own name, `CstKind.BINARY_EXPR ==
 "BINARY_EXPR"`, from the lexer to the AST's `node_type` and the output.
@@ -80,14 +80,12 @@ CST_KIND_NAMES = frozenset(
 
 
 class SourceSpan(NamedTuple):
-    """Half-open offset range plus the 1-based line range it covers.
+    """The 1-based first and last line a node covers.
 
-    Offsets count UTF-8 bytes of the text as read, with universal newlines,
-    not of the file on disk: a CRLF line end counts one byte.
+    A newline belongs to the line it ends. Lines count as the text is read,
+    with universal newlines, so a CRLF or CR line end ends one line.
     """
 
-    byte_offset_start: int
-    byte_offset_end: int
     line_start: int
     line_end: int
 
@@ -95,36 +93,34 @@ class SourceSpan(NamedTuple):
         return self.line_end - self.line_start + 1
 
 
-# SourceSpan's own constructor is a Python function; the builders make one
-# span per node, so they call tuple's constructor with the class instead.
+# SourceSpan's own constructor is a Python function; a CST has one span per
+# node, so `Tokens.span` calls tuple's constructor with the class instead.
 new_span = tuple.__new__
 
 
 class Tokens(NamedTuple):
     """One file's tokens, trivia included, as parallel lists.
 
-    `lines` and `offsets` hold one entry more than there are tokens: the
-    line and the offset just past the last token.
+    `lines` holds one entry more than there are tokens: the line just past
+    the last token.
     """
 
     kinds: list[str]
     texts: list[str]
     lines: list[int]  # 1-based line each token starts on
-    offsets: list[int]  # UTF-8 bytes of the text before each token
 
     def span(self, first: int, end: int) -> SourceSpan:
-        """The span of tokens [first, end); an empty range is zero-width at
+        """The lines of tokens [first, end); an empty range is zero-width at
         token `first`, or just past the last token when there is none."""
-        _, texts, lines, offsets = self
+        _, texts, lines = self
         if first < end:
             # a newline belongs to the line it ends
             return new_span(SourceSpan, (
-                offsets[first], offsets[end], lines[first],
-                lines[end] - (texts[end - 1][-1] == "\n")))
+                lines[first], lines[end] - (texts[end - 1][-1] == "\n")))
         line = lines[first]
         if first == len(texts) and texts:
             line -= texts[-1][-1] == "\n"
-        return SourceSpan(offsets[first], offsets[first], line, line)
+        return new_span(SourceSpan, (line, line))
 
     def leaves(self) -> list["CstNode"]:
         """One CST leaf per token."""

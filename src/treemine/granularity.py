@@ -1,11 +1,9 @@
 """Split file-level ASTs into the configured unit of analysis."""
 
-from .ast_builder import AstNode
+from .ast_builder import METHOD_NODE_TYPES, AstNode
+from .cst import CstKind
 
 GRANULARITY_LEVELS = ("file", "class", "method")
-
-# the node types of method-level units
-METHOD_NODE_TYPES = ("METHOD_DECL", "CONSTRUCTOR_DECL")
 
 
 def split(tree: AstNode, level: str) -> list[AstNode]:
@@ -17,7 +15,7 @@ def split(tree: AstNode, level: str) -> list[AstNode]:
     if level == "file":
         return [tree]
     if level == "class":
-        return [c for c in tree.children if c.node_type == "CLASS_DECL"]
+        return [c for c in tree.children if c.node_type == CstKind.CLASS_DECL]
     if level == "method":
         return [n for n in tree.preorder() if n.node_type in METHOD_NODE_TYPES]
     raise ValueError(f"unknown granularity level: {level!r}")

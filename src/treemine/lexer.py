@@ -1,21 +1,26 @@
 """Tokenizer for the supported Java-like subset.
 
-`scan` splits a string into `Tokens`, parallel lists of kind, text, start
-line and offset, and creates no object per token. The tokens are lossless:
-concatenating their texts reproduces the input string. An offset counts the
-UTF-8 bytes of the text before the token, the text as read: the pipeline
-reads files with universal newlines, so CRLF and CR line ends arrive as LF
-and an offset need not match the file on disk. No stage reads offsets; filters
-count lines.
+`scan` splits a string into `Tokens`, parallel lists of kind, text and start
+line, and creates no object per token. The tokens are lossless:
+concatenating their texts reproduces the input string. Lines count as the
+text is read: the pipeline reads files with universal newlines, so CRLF and
+CR line ends arrive as LF.
 
-One alternation regex, compiled at import, recognises every token; the name
-of the alternative that matched gives its kind. The loop over matches
-collects only kinds and texts; start lines and offsets are running
-sums over the texts, taken afterwards in one pass each.
+One alternation regex, compiled at import, recognises every token, and one
+`findall` over it collects every token text. A token's first one or two
+characters decide its kind, so kinds are looked up from the texts
+afterwards, as start lines are summed from them. An opener that its
+alternative cannot close takes the rest of the source as one token, so
+`findall` reads each character once, and only the last token can be
+unterminated. Only when the texts show an error, an unterminated last token
+or a character that they skip, are they walked along the source to locate
+the first one.
 """
 
 import re
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, repeat
+from operator import eq, itemgetter
+from typing import NoReturn
 
 from .cst import CstKind, CstNode, Tokens
 from .errors import LexError, position
@@ -39,44 +44,45 @@ WORD_LITERALS = frozenset({"true", "false", "null"})
 
 # Alternatives are tried in order; each token kind is decided by its first
 # one or two characters, so at most one alternative can match at a position.
-# An opening quote or comment marker that its full alternative could not
-# close falls through to the *_OPEN alternative and is reported unterminated.
+# A string, char or block comment that is not closed runs to the end of the
+# source, so no later opener is read again.
 _TOKEN_RE = re.compile(r"""
-    (?P<WHITE_SPACE>[ \t\r\n\f]+)
-  | (?P<LINE_COMMENT>//[^\n]*)
-  | (?P<BLOCK_COMMENT>/\*[\s\S]*?\*/)
-  | (?P<BLOCK_COMMENT_OPEN>/\*)
-  | (?P<WORD>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[fFdDlL]?)
-  | (?P<STRING>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")
-  | (?P<STRING_OPEN>")
-  | (?P<CHAR>'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')
-  | (?P<CHAR_OPEN>')
-  | (?P<OPERATOR>==|!=|<=|>=|&&|\|\||[=<>+\-*/%!])
-  | (?P<PUNCTUATION>[(){}\[\];,.@])
+    [ \t\r\n\f]+
+  | //[^\n]*
+  | /\*[\s\S]*?(?:\*/|\Z)
+  | [A-Za-z_$][A-Za-z0-9_$]*
+  | [0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[fFdDlL]?
+  | "[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:"|[\s\S]*)
+  | '[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:'|[\s\S]*)
+  | ==|!=|<=|>=|&&|\|\||[=<>+\-*/%!]
+  | [(){}\[\];,.@]
 """, re.VERBOSE)
 
-# A WORD is an identifier unless it is a keyword or a word literal.
-_GROUP_KINDS = {
-    "WORD": CstKind.IDENTIFIER,
-    "WHITE_SPACE": CstKind.WHITE_SPACE,
-    "LINE_COMMENT": CstKind.LINE_COMMENT,
-    "BLOCK_COMMENT": CstKind.BLOCK_COMMENT,
-    "NUMBER": CstKind.LITERAL,
-    "STRING": CstKind.LITERAL,
-    "CHAR": CstKind.LITERAL,
-    "OPERATOR": CstKind.OPERATOR,
-    "PUNCTUATION": CstKind.PUNCTUATION,
-}
+# The kind of a token by its first character. "//" and "/*" share one, so a
+# comment's second character tells them apart.
+_FIRST_KINDS = dict.fromkeys(" \t\r\n\f", CstKind.WHITE_SPACE)
+_FIRST_KINDS.update(dict.fromkeys(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$",
+    CstKind.IDENTIFIER))
+_FIRST_KINDS.update(dict.fromkeys("0123456789\"'", CstKind.LITERAL))
+_FIRST_KINDS.update(dict.fromkeys("=<>+-*%!&|", CstKind.OPERATOR))
+_FIRST_KINDS.update(dict.fromkeys("(){}[];,.@", CstKind.PUNCTUATION))
+_FIRST_KINDS["/"] = CstKind.LINE_COMMENT
+_COMMENT_KINDS = {"/": CstKind.LINE_COMMENT, "*": CstKind.BLOCK_COMMENT}
 
-_WORD_KINDS = {word: CstKind.KEYWORD for word in KEYWORDS}
-_WORD_KINDS.update((word, CstKind.LITERAL) for word in WORD_LITERALS)
-
+# The error of an unterminated token by its first character; a "/" token
+# that is not closed is a block comment.
 _UNTERMINATED = {
-    "BLOCK_COMMENT_OPEN": "unterminated block comment",
-    "STRING_OPEN": "unterminated string literal",
-    "CHAR_OPEN": "unterminated char literal",
+    "/": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated char literal",
 }
+
+# Whole texts whose kind their first character does not decide: keywords,
+# word literals and the division operator.
+_TEXT_KINDS = {word: CstKind.KEYWORD for word in KEYWORDS}
+_TEXT_KINDS.update((word, CstKind.LITERAL) for word in WORD_LITERALS)
+_TEXT_KINDS["/"] = CstKind.OPERATOR
 
 
 def scan(source: str) -> Tokens:
@@ -85,29 +91,49 @@ def scan(source: str) -> Tokens:
     Raises LexError on any character admissible in no token, on unterminated
     string/char literals, and on unterminated block comments.
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    match = None
-    for match in iter(_TOKEN_RE.scanner(source).match, None):
-        text = match.group()
-        kind = _GROUP_KINDS.get(match.lastgroup)
-        if kind == CstKind.IDENTIFIER:
-            kind = _WORD_KINDS.get(text, kind)
-        elif kind is None:
-            raise LexError(*position(source[:match.start()]),
-                           _UNTERMINATED[match.lastgroup])
-        kinds.append(kind)
-        texts.append(text)
-    end = match.end() if match else 0
-    if end < len(source):
-        raise LexError(*position(source[:end]),
-                       f"unexpected character {source[end]!r}")
+    texts = _TOKEN_RE.findall(source)
+    kinds = list(map(_TEXT_KINDS.get, texts,
+                     map(_FIRST_KINDS.__getitem__, map(itemgetter(0), texts))))
+    if (sum(map(len, texts)) != len(source)
+            or texts and _unterminated(texts[-1])):
+        _raise_first_error(source, texts)
+    for i in compress(count(), map(eq, kinds, repeat(CstKind.LINE_COMMENT))):
+        kinds[i] = _COMMENT_KINDS[texts[i][1]]
     lines = list(accumulate(map(str.count, texts, repeat("\n")), initial=1))
-    sizes = map(len, texts if source.isascii() else map(str.encode, texts))
-    return Tokens(kinds, texts, lines, list(accumulate(sizes, initial=0)))
+    return Tokens(kinds, texts, lines)
+
+
+def _unterminated(text: str) -> bool:
+    """Whether the last token is an opener that the source ended in.
+
+    A closed token ends where its alternative closed it, so a character
+    appended to it is not read into it; an unterminated one reads it too.
+    """
+    return (text[0] in _UNTERMINATED
+            and _TOKEN_RE.match(text + "\n").end() > len(text))
+
+
+def _raise_first_error(source: str, texts: list[str]) -> NoReturn:
+    """Raise the LexError of the first untokenizable character, or else of
+    the unterminated last token.
+
+    `findall` skips what no token admits, so the texts tile the source up to
+    the first such character.
+    """
+    pos = 0
+    for text in texts:
+        if not source.startswith(text, pos):
+            break
+        pos += len(text)
+    if pos < len(source):
+        raise LexError(*position(source[:pos]),
+                       f"unexpected character {source[pos]!r}")
+    last = texts[-1]
+    raise LexError(*position(source[:pos - len(last)]),
+                   _UNTERMINATED[last[0]])
 
 
 def tokenize(source: str) -> list[CstNode]:
-    """The leaves of the file's CST: one node per token, spans included."""
+    """The leaves of the file's CST: one node per token, lines included."""
     return scan(source).leaves()
 

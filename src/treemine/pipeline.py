@@ -5,9 +5,11 @@ subdirectories, plus loose files under the split root), and runs the full
 stage chain per file on the calling thread, in discovery order, so output is
 the same at any `parallelism`, which starts no worker. A file's source text
 and its token and marker arrays are freed once its tree is built, so the
-later stages run beside one file's tree and lines. Outputs are written
-under staging names and moved into place together once the run has finished,
-so a run that fails or is interrupted leaves the previous dataset as it was.
+later stages run beside one file's tree and lines, and a file larger than
+`MAX_FILE_BYTES` is counted as a failure without being read. Outputs are
+written under staging names and moved into place together once the run has
+finished, so a run that fails or is interrupted leaves the previous dataset
+as it was.
 """
 
 import logging
@@ -34,6 +36,11 @@ SPLIT_NAMES = ("train", "val", "test")
 
 # label for the pseudo-project made of files sitting directly in a split root
 LOOSE_PROJECT = "."
+
+# The largest file a run reads, in bytes on disk. A run's peak RSS grows by
+# about 170 bytes per byte of its largest file, so this bounds it near
+# 700 MiB.
+MAX_FILE_BYTES = 4 * 2**20
 
 
 class UnitResult(NamedTuple):
@@ -97,6 +104,10 @@ def process_file(path: Path, relpath: str, config: PipelineConfig) -> FileResult
 
 def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
     try:
+        size = path.stat().st_size
+        if size > MAX_FILE_BYTES:
+            return FileResult(relpath, f"too large: {size} bytes, over the "
+                                       f"{MAX_FILE_BYTES}-byte bound", [])
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         return FileResult(relpath, f"not valid UTF-8: {exc}", [])

@@ -86,14 +86,14 @@ def random_ast(rng, max_leaves=12):
         if budget <= 1 or depth >= 6 or rng.random() < 0.3:
             budget -= 1
             return leaf()
-        node = AstNode(rng.choice(node_types))
+        node = AstNode(rng.choice(node_types), children=[])
         for _ in range(rng.randint(1, min(4, budget))):
             if budget <= 0:
                 break
             node.children.append(grow(depth + 1))
         return node
 
-    root = AstNode("FILE")
+    root = AstNode("FILE", children=[])
     while budget > 0:
         root.children.append(grow(1))
     return root

@@ -13,7 +13,7 @@ in both shapes a modifier list can take and search a whole unit for an
 `@Override` annotation, so they check `AstNode.modifiers()`.
 """
 
-from treemine.ast_builder import AstNode
+from treemine.ast_builder import UNIT_KINDS, AstNode
 from treemine.cst import COMMENT_KINDS, TRIVIA_KINDS, CstKind
 from treemine.type_resolver import (NO_TYPE, Scope, _literal_type,
                                     resolve_identifier)
@@ -41,14 +41,14 @@ def _convert(node, drop):
     if kind in drop and (node.is_leaf() or kind in COMMENT_KINDS):
         return []
     if node.is_leaf():
-        return [AstNode(kind, token=node.text, span=node.span)]
+        return [AstNode(kind, token=node.text)]
 
     if (kind in _COLLAPSE_TO_LEAF and kind not in drop
             and _drops_significant_leaf(node, drop)):
         text = _presentable_text(node)
         if not text:
             return []
-        return [AstNode(kind, token=text, span=node.span)]
+        return [AstNode(kind, token=text)]
 
     converted = []
     for child in node.children:
@@ -66,7 +66,8 @@ def _convert(node, drop):
         op = next((c.text for c in node.children if c.kind == CstKind.OPERATOR), None)
         if op:
             node_type = f"{node_type}:{op}"
-    return [AstNode(node_type, children=converted, span=node.span)]
+    span = node.span if kind in UNIT_KINDS else None
+    return [AstNode(node_type, children=converted, span=span)]
 
 
 def _cst_leaves(node):

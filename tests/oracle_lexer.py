@@ -1,10 +1,10 @@
 """Independent reference tokenizer, used only by tests.
 
 The character-by-character scanner the production lexer replaced: it tries
-each token rule in turn at every position and UTF-8-encodes every token to
-find its byte offsets. The production lexer matches one alternation regex
-and counts bytes and newlines only where they can occur, so agreement
-between the two on random sources is meaningful evidence.
+each token rule in turn at every position and tracks the line as it goes.
+The production lexer collects every token text with one regex `findall`,
+looks kinds up from the texts and sums lines over them afterwards, so
+agreement between the two on random sources is meaningful evidence.
 """
 
 import re
@@ -30,7 +30,6 @@ def tokenize(source: str) -> list[CstNode]:
     """
     tokens: list[CstNode] = []
     i = 0
-    byte_offset = 0
     line = 1
     line_start = 0  # char index where the current line begins
     n = len(source)
@@ -39,20 +38,18 @@ def tokenize(source: str) -> list[CstNode]:
         return LexError(line, at - line_start + 1, msg)
 
     def emit(kind: str, text: str) -> None:
-        nonlocal i, byte_offset, line, line_start
-        nbytes = len(text.encode("utf-8"))
+        nonlocal i, line, line_start
         newlines = text.count("\n")
         end_line = line + newlines
         if text.endswith("\n"):
             # The newline character belongs to the line it terminates.
             end_line -= 1
-        span = SourceSpan(byte_offset, byte_offset + nbytes, line, max(end_line, line))
+        span = SourceSpan(line, max(end_line, line))
         tokens.append(CstNode(kind, span, text=text))
         if newlines:
             line += newlines
             line_start = i + text.rfind("\n") + 1
         i += len(text)
-        byte_offset += nbytes
 
     while i < n:
         c = source[i]

@@ -50,13 +50,7 @@ class _Parser:
         self._sig = [tokens[i] for i in self._sig_index]
         self._sig_index.append(len(tokens))
         self._sig_pos = 0
-        if tokens:
-            last = tokens[-1]
-            self._end_byte = last.span.byte_offset_end
-            self._end_line = last.span.line_end
-        else:
-            self._end_byte = 0
-            self._end_line = 1
+        self._end_line = tokens[-1].span.line_end if tokens else 1
 
     # -- token stream helpers -------------------------------------------------
 
@@ -132,20 +126,17 @@ class _Parser:
     def _node(self, kind: str, children: list[CstNode]) -> CstNode:
         if not children:
             return self._empty_node(kind)
-        first = children[0].span
-        last = children[-1].span
-        span = SourceSpan(first.byte_offset_start, last.byte_offset_end,
-                          first.line_start, last.line_end)
+        span = SourceSpan(children[0].span.line_start,
+                          children[-1].span.line_end)
         return CstNode(kind, span, children=children)
 
     def _empty_node(self, kind: str) -> CstNode:
         # Zero-width node anchored at the next unconsumed position.
         if self.pos < len(self.tokens):
-            anchor = self.tokens[self.pos].span
-            byte, line = anchor.byte_offset_start, anchor.line_start
+            line = self.tokens[self.pos].span.line_start
         else:
-            byte, line = self._end_byte, self._end_line
-        return CstNode(kind, SourceSpan(byte, byte, line, line))
+            line = self._end_line
+        return CstNode(kind, SourceSpan(line, line))
 
     # -- declarations ---------------------------------------------------------
 
@@ -169,7 +160,7 @@ class _Parser:
                 self._fail("class declaration")
         self._flush_trivia(children)
         if not children:
-            return CstNode(CstKind.FILE, SourceSpan(0, 0, 1, 1))
+            return CstNode(CstKind.FILE, SourceSpan(1, 1))
         return self._node(CstKind.FILE, children)
 
     def _class_decl(self) -> CstNode:

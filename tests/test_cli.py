@@ -1,8 +1,13 @@
 import json
+import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from treemine import pipeline
 from treemine.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, console_entry, main
 
 from conftest import base_config, write_config, write_files
@@ -227,6 +232,47 @@ def test_non_ascii_digit_file_is_a_parse_failure(tmp_path, capsys):
         encoding="utf-8"))
     assert (stats["files_seen"], stats["files_parsed"],
             stats["parse_failures"]) == (2, 1, 1)
+
+
+def test_file_over_the_size_bound_is_a_counted_failure(tmp_path, monkeypatch,
+                                                       caplog):
+    in_dir = tmp_path / "in"
+    write_files(in_dir, {"A.java": SOURCE, "Big.java": SOURCE + "\n"})
+    # the bound counts bytes on disk: A.java is at it, Big.java one over
+    monkeypatch.setattr(pipeline, "MAX_FILE_BYTES",
+                        (in_dir / "A.java").stat().st_size)
+    path = write_config(tmp_path, base_config(in_dir, tmp_path / "out"))
+    with caplog.at_level(logging.WARNING, logger="treemine"):
+        assert main(["--config", str(path)]) == EXIT_OK
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text(
+        encoding="utf-8"))
+    assert (stats["files_seen"], stats["files_parsed"],
+            stats["parse_failures"], stats["samples_written"]) == (2, 1, 1, 1)
+    assert [m for m in caplog.messages if m.startswith("skipping")] == [
+        f"skipping Big.java: too large: {len(SOURCE) + 1} bytes, over the "
+        f"{len(SOURCE)}-byte bound"]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("module", ["treemine", "treemine.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    config_path = setup_run(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+
+    done = run("--config", str(config_path), "--dry-run")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "dry run: configuration valid" in done.stdout
+    assert not (tmp_path / "out").exists()
+    done = run("--config", str(tmp_path / "missing.json"))
+    assert done.returncode == EXIT_CONFIG
+    assert "configuration error" in done.stderr
 
 
 def test_missing_config_flag_exits():

@@ -50,8 +50,8 @@ def test_kind_set_relationships():
 
 
 def test_source_span_line_count():
-    assert SourceSpan(0, 10, 1, 1).line_count() == 1
-    assert SourceSpan(0, 10, 2, 5).line_count() == 4
+    assert SourceSpan(1, 1).line_count() == 1
+    assert SourceSpan(2, 5).line_count() == 4
 
 
 def test_tokens_are_leaves():

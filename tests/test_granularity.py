@@ -1,8 +1,10 @@
 import pytest
 
 from treemine import split
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES
+from treemine.granularity import GRANULARITY_LEVELS
 
-from conftest import build, find_one
+from conftest import CORPUS_DIR, build, find_one
 
 TWO_CLASSES = """
 class First {
@@ -65,6 +67,21 @@ def test_units_share_structure_with_source_tree():
     tree = build(TWO_CLASSES)
     unit = split(tree, "method")[1]
     assert unit is find_one(tree.children[0], "METHOD_DECL")
+
+
+@pytest.mark.parametrize("ignore", [
+    frozenset(DEFAULT_IGNORE_NAMES),
+    frozenset({"LINE_COMMENT"}),
+    frozenset(DEFAULT_IGNORE_NAMES) | {"CLASS_DECL", "CODE_BLOCK"},
+], ids=["default", "keep-tokens", "splice-classes"])
+def test_every_unit_has_a_span(ignore):
+    # build gives spans to the unit kinds only, and code_lines reads them
+    for path in sorted(CORPUS_DIR.glob("*.java")):
+        tree = build(path.read_text(encoding="utf-8"), ignore)
+        for level in GRANULARITY_LEVELS:
+            for unit in split(tree, level):
+                assert unit.span is not None, (path.name, level, unit)
+                assert 1 <= unit.span.line_start <= unit.span.line_end
 
 
 def test_unknown_level_rejected():

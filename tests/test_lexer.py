@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -113,15 +115,16 @@ def test_block_comment_multiline():
     assert tokens[1].span.line_start == 2
 
 
-def test_byte_offsets_utf8():
-    source = 's = "grüße";'
+def test_lines_over_non_ascii_text():
+    source = 's = "grüße";\n/* 日本\n語 */ t = \'é\';'
     tokens = tokenize(source)
     assert "".join(texts(tokens)) == source
-    literal = next(t for t in tokens if t.kind == CstKind.LITERAL)
-    # ü and ß take two bytes each
-    assert literal.span.byte_offset_end - literal.span.byte_offset_start == \
-        len('"grüße"'.encode("utf-8"))
-    assert tokens[-1].span.byte_offset_end == len(source.encode("utf-8"))
+    literals = [t for t in tokens if t.kind == CstKind.LITERAL]
+    assert [(t.text, t.span) for t in literals] == [
+        ('"grüße"', (1, 1)), ("'é'", (3, 3))]
+    comment = next(t for t in tokens if t.kind == CstKind.BLOCK_COMMENT)
+    assert comment.span == (2, 3)
+    assert tokens[-1].span.line_end == 3
 
 
 def test_line_numbers():
@@ -169,6 +172,42 @@ def test_unterminated_block_comment():
         tokenize("x\n/* open")
     assert info.value.line == 2
     assert info.value.column == 1
+
+
+@pytest.mark.parametrize("opener, message", [
+    ("/* ", "unterminated block comment"),
+    ('"\\', "unterminated string literal"),
+    ("'\\", "unterminated char literal"),
+])
+def test_repeated_unterminated_openers_scan_in_linear_time(opener, message):
+    # each later opener is unterminated too; reading each of them to the end
+    # of the source again would take minutes
+    start = time.perf_counter()
+    with pytest.raises(LexError) as info:
+        tokenize(opener * 50_000)
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.line, info.value.column) == (1, 1)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("source, column", [
+    ('x = "a\\\\"', None),
+    ('x = "a\\"', 5),
+    ("x = '\\''", None),
+    ("x = '\\'", 5),
+    ("x /**/", None),
+    ("x /*/", 3),
+    ("x /", None),
+    ("x //", None),
+])
+def test_last_token_closed_or_unterminated(source, column):
+    # column is that of the unterminated opener, None when all are closed
+    if column is None:
+        assert "".join(texts(tokenize(source))) == source
+    else:
+        with pytest.raises(LexError, match="unterminated") as info:
+            tokenize(source)
+        assert info.value.column == column
 
 
 def test_unexpected_character():
@@ -219,18 +258,19 @@ def test_spans_tile_the_source(source):
         tokens = tokenize(source)
     except LexError:
         assume(False)
-    offset = 0
-    line = 1
+    # each token starts on the line the text before it ends on, and a
+    # newline belongs to the line it ends
+    consumed = ""
     for token in tokens:
-        assert token.span.byte_offset_start == offset
-        assert token.span.line_start >= line
-        offset = token.span.byte_offset_end
-        line = token.span.line_start
-    assert offset == len(source.encode("utf-8"))
+        assert token.span.line_start == consumed.count("\n") + 1
+        consumed += token.text
+        assert token.span.line_end == (consumed.count("\n") + 1
+                                       - token.text.endswith("\n"))
+    assert consumed == source
 
 
 # Fragments that open, close or break every multi-character token, with
-# non-ASCII text that shifts byte offsets away from character offsets.
+# non-ASCII letters and digits, which only literals and comments admit.
 _FRAGMENTS = ["//", "/*", "*/", "/", "*", '"', "'", '"\\\n', "'\\\n",
               "\\", "\\\n", "\r\n", "\n", "\t", " ", "x", "if", "null",
               "$_9", "0", "1.5e3f", "+", "&&", "=", "(", ";", "#", "\u00e9",

@@ -50,23 +50,21 @@ def test_corpus_round_trips(path):
 def test_corpus_span_invariants(path):
     text = path.read_text(encoding="utf-8")
     root = parse_file(text, str(path))
-    assert root.span.byte_offset_start == 0
-    assert root.span.byte_offset_end == len(text.encode("utf-8"))
+    # a newline belongs to the line it ends
+    assert root.span == (1, text.count("\n") + 1 - text.endswith("\n"))
 
     def walk(node):
         if not node.children:
             return
         first, last = node.children[0], node.children[-1]
-        assert node.span.byte_offset_start == first.span.byte_offset_start
-        assert node.span.byte_offset_end == last.span.byte_offset_end
         assert node.span.line_start == first.span.line_start
         assert node.span.line_end == last.span.line_end
-        previous_end = None
+        line = node.span.line_start
         for child in node.children:
-            if previous_end is not None:
-                # children tile the parent without gaps or overlap
-                assert child.span.byte_offset_start == previous_end
-            previous_end = child.span.byte_offset_end
+            # children tile the parent: each starts on the line the text
+            # before it ends on
+            assert child.span.line_start == line
+            line += cst_text(child).count("\n")
             walk(child)
 
     walk(root)
@@ -76,9 +74,8 @@ def test_empty_file():
     root = parse_file("")
     assert root.kind == CstKind.FILE
     assert root.children == []
-    assert root.span.byte_offset_start == 0
-    assert root.span.byte_offset_end == 0
     assert root.span.line_start == 1
+    assert root.span.line_end == 1
 
 
 def test_basic_shape():

@@ -158,9 +158,11 @@ def test_jsonl_round_trips_to_equal_tree():
 
     def rebuild(index):
         raw = nodes[index]
-        return AstNode(raw["type"], token=raw.get("value"),
-                       resolved_type=raw.get("token_type"),
-                       children=[rebuild(c) for c in raw.get("children", [])])
+        node = AstNode(raw["type"], token=raw.get("value"),
+                       resolved_type=raw.get("token_type"))
+        if "children" in raw:
+            node.children = [rebuild(c) for c in raw["children"]]
+        return node
 
     assert rebuild(0) == tree
 
