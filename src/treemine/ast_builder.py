@@ -9,7 +9,8 @@ so it becomes the `node_type` as it is. `build` drops whitespace and the
 kinds in the ignore set, a plain set of kind names: ignored leaves (comments
 among them) go, and an ignored internal kind is spliced out node-wise, its
 children hoisted into the parent. Only a node that can be a unit gets a
-span, the lines that the `code_lines` filter reads.
+span, the lines that the `code_lines` filter reads; they are counted in one
+sweep over the tokens once the tree is built.
 The parser is the one producer of markers: `build_ast` takes the CST that
 `parser.parse_file` returned and builds from the tokens and markers kept on
 its root, without walking the CST.
@@ -18,8 +19,8 @@ its root, without walking the CST.
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .cst import (COMMENT_KINDS, CstKind, CstNode, Marker, SourceSpan,
-                  Tokens, TRIVIA_KINDS)
+from .cst import (COMMENT_KINDS, CstKind, CstNode, SourceSpan, Tokens,
+                  TRIVIA_KINDS)
 
 # Kinds whose leaves are structural punctuation/keywords; dropped by default
 # because their information lives in the parent node_type.
@@ -118,21 +119,25 @@ def build_ast(root: CstNode, ignore: frozenset[str]) -> AstNode:
     return build(*root.parsed, ignore)
 
 
-def build(tokens: Tokens, markers: list[Marker],
+def build(tokens: Tokens, markers: list[str | int],
           ignore: frozenset[str]) -> AstNode:
     """Build the AST of a file from its tokens and parser markers.
 
-    One pass over the markers, which come in postorder, so each node meets
-    the results of its child nodes and takes its own tokens from the gaps
-    between them. The FILE root is never dropped; a file whose content is
-    dropped entirely yields a childless FILE node.
+    One pass over the markers, four items per node in postorder, so each
+    node meets the results of its child nodes and takes its own tokens from
+    the gaps between them. The FILE root is never dropped; a file whose
+    content is dropped entirely yields a childless FILE node.
     """
-    kinds, texts, _ = tokens
+    kinds, texts = tokens
     drop = (ignore | {CstKind.WHITE_SPACE}) - {CstKind.FILE}
     # (first, end, AST nodes) of completed nodes whose parent is still open;
     # a dropped node leaves its children, a removed one nothing
     done: list[tuple[int, int, list[AstNode]]] = []
-    for kind, first, end, count in markers:
+    # the nodes that get a span, and their token ranges
+    units: list[AstNode] = []
+    ranges: list[tuple[int, int]] = []
+    it = iter(markers)
+    for kind, first, end, count in zip(it, it, it, it):
         kids = done[len(done) - count:]
         del done[len(done) - count:]
         if kind in _COLLAPSE_TO_LEAF and kind not in drop:
@@ -165,11 +170,15 @@ def build(tokens: Tokens, markers: list[Marker],
             node_type = kind
             if op and kind in _OPERATOR_SUFFIXED:
                 node_type = f"{node_type}:{op}"
-            span = tokens.span(first, end) if kind in UNIT_KINDS else None
-            done.append((first, end, [AstNode(node_type, None, None, children,
-                                              span)]))
+            node = AstNode(node_type, None, None, children)
+            if kind in UNIT_KINDS:
+                units.append(node)
+                ranges.append((first, end))
+            done.append((first, end, [node]))
         else:
             done.append((first, end, []))
+    for node, span in zip(units, tokens.spans(ranges)):
+        node.span = span
     return done[0][2][0]
 
 

@@ -1,8 +1,9 @@
 """Token arrays and the concrete syntax tree model.
 
-The lexer scans a file into `Tokens`: parallel lists of kind, text and start
-line, with no object per token. The parser marks node ranges over those
-lists, and both trees are built from tokens plus markers.
+The lexer scans a file into `Tokens`: parallel lists of kind and text, with
+no object per token. The parser marks node ranges over those lists, in one
+flat list of four items per node, and both trees are built from tokens plus
+markers. Lines are counted only for the ranges whose span a tree keeps.
 
 A node kind is the string of its own name, `CstKind.BINARY_EXPR ==
 "BINARY_EXPR"`, from the lexer to the AST's `node_type` and the output.
@@ -94,44 +95,57 @@ class SourceSpan(NamedTuple):
 
 
 # SourceSpan's own constructor is a Python function; a CST has one span per
-# node, so `Tokens.span` calls tuple's constructor with the class instead.
+# node, so `Tokens.spans` calls tuple's constructor with the class instead.
 new_span = tuple.__new__
+
+# How many tokens `Tokens.spans` joins at once to count their newlines, so
+# that a long range costs no copy of its text.
+_JOIN_TOKENS = 4096
 
 
 class Tokens(NamedTuple):
-    """One file's tokens, trivia included, as parallel lists.
-
-    `lines` holds one entry more than there are tokens: the line just past
-    the last token.
-    """
+    """One file's tokens, trivia included, as parallel lists."""
 
     kinds: list[str]
     texts: list[str]
-    lines: list[int]  # 1-based line each token starts on
 
-    def span(self, first: int, end: int) -> SourceSpan:
-        """The lines of tokens [first, end); an empty range is zero-width at
-        token `first`, or just past the last token when there is none."""
-        _, texts, lines = self
-        if first < end:
-            # a newline belongs to the line it ends
-            return new_span(SourceSpan, (
-                lines[first], lines[end] - (texts[end - 1][-1] == "\n")))
-        line = lines[first]
-        if first == len(texts) and texts:
-            line -= texts[-1][-1] == "\n"
-        return new_span(SourceSpan, (line, line))
+    def spans(self, ranges: list[tuple[int, int]]) -> list[SourceSpan]:
+        """The lines of each token range [first, end). An empty range is
+        zero-width at token `first`, or just past the last token when there
+        is none.
+
+        One sweep over the ranges' sorted boundaries counts the newlines of
+        the text between each boundary and the next.
+        """
+        texts = self.texts
+        starts = {}  # the line each boundary token starts on
+        line = 1
+        pos = 0
+        for boundary in sorted({bound for pair in ranges for bound in pair}):
+            while boundary - pos > _JOIN_TOKENS:
+                line += "".join(texts[pos:pos + _JOIN_TOKENS]).count("\n")
+                pos += _JOIN_TOKENS
+            line += "".join(texts[pos:boundary]).count("\n")
+            starts[boundary] = line
+            pos = boundary
+        spans = []
+        for first, end in ranges:
+            line = starts[first]
+            if first < end:
+                # a newline belongs to the line it ends
+                spans.append(new_span(SourceSpan, (
+                    line, starts[end] - (texts[end - 1][-1] == "\n"))))
+                continue
+            if first == len(texts) and texts:
+                line -= texts[-1][-1] == "\n"
+            spans.append(new_span(SourceSpan, (line, line)))
+        return spans
 
     def leaves(self) -> list["CstNode"]:
         """One CST leaf per token."""
-        span = self.span
-        return [CstNode(kind, span(i, i + 1), text)
-                for i, (kind, text) in enumerate(zip(self.kinds, self.texts))]
-
-
-# A node the parser marked: (kind, first token, end token, child-node count).
-# Token indices count trivia and the range is half-open.
-Marker = tuple[str, int, int, int]
+        spans = self.spans([(i, i + 1) for i in range(len(self.texts))])
+        return [CstNode(kind, span, text)
+                for kind, text, span in zip(self.kinds, self.texts, spans)]
 
 
 @dataclass(slots=True)
@@ -144,7 +158,7 @@ class CstNode:
     span: SourceSpan
     text: str | None = None
     children: list["CstNode"] = field(default_factory=list)
-    parsed: tuple[Tokens, list[Marker]] | None = field(
+    parsed: tuple[Tokens, list[str | int]] | None = field(
         default=None, compare=False, repr=False)
 
     def is_leaf(self) -> bool:

@@ -1,24 +1,24 @@
 """Tokenizer for the supported Java-like subset.
 
-`scan` splits a string into `Tokens`, parallel lists of kind, text and start
-line, and creates no object per token. The tokens are lossless:
-concatenating their texts reproduces the input string. Lines count as the
-text is read: the pipeline reads files with universal newlines, so CRLF and
-CR line ends arrive as LF.
+`scan` splits a string into `Tokens`, parallel lists of kind and text, and
+creates no object per token. The tokens are lossless: concatenating their
+texts reproduces the input string. `scan` counts no lines: `Tokens.spans`
+counts them for the ranges whose span a tree keeps, as the text is read. The
+pipeline reads files with universal newlines, so CRLF and CR line ends
+arrive as LF.
 
 One alternation regex, compiled at import, recognises every token, and one
 `findall` over it collects every token text. A token's first one or two
 characters decide its kind, so kinds are looked up from the texts
-afterwards, as start lines are summed from them. An opener that its
-alternative cannot close takes the rest of the source as one token, so
-`findall` reads each character once, and only the last token can be
-unterminated. Only when the texts show an error, an unterminated last token
-or a character that they skip, are they walked along the source to locate
-the first one.
+afterwards. An opener that its alternative cannot close takes the rest of
+the source as one token, so `findall` reads each character once, and only
+the last token can be unterminated. Only when the texts show an error, an
+unterminated last token or a character that they skip, are they walked
+along the source to locate the first one.
 """
 
 import re
-from itertools import accumulate, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import eq, itemgetter
 from typing import NoReturn
 
@@ -99,8 +99,7 @@ def scan(source: str) -> Tokens:
         _raise_first_error(source, texts)
     for i in compress(count(), map(eq, kinds, repeat(CstKind.LINE_COMMENT))):
         kinds[i] = _COMMENT_KINDS[texts[i][1]]
-    lines = list(accumulate(map(str.count, texts, repeat("\n")), initial=1))
-    return Tokens(kinds, texts, lines)
+    return Tokens(kinds, texts)
 
 
 def _unterminated(text: str) -> bool:

@@ -1,9 +1,11 @@
 """Recursive descent parser for the Java-like subset.
 
 The parser builds no tree. As with IntelliJ's PsiBuilder, it marks node
-ranges over the token arrays of `lexer.scan` and records one marker per
-node, `(kind, first token, end token, child-node count)`, in the order the
-nodes complete: postorder, the FILE node last. Token indices count trivia.
+ranges over the token arrays of `lexer.scan`. Its markers are one flat list
+of four items per node, kind, first token, end token and child-node count,
+with the nodes in the order they complete: postorder, the FILE node last. A
+reader takes them four at a time, `zip(it, it, it, it)` over one iterator.
+Token indices count trivia.
 The FILE node spans every token, and any other node runs from its first
 significant token to just past its last one, so whitespace and comments
 belong to the innermost node whose range holds them. The parser is the one
@@ -13,7 +15,7 @@ markers on its FILE root, where `ast_builder.build_ast` reads them.
 
 Productions drive one stack of open nodes. `_open()` starts a node at the
 next token, `_wrap()` starts one at the start of the element just completed
-(a left operand or a receiver, as `Marker.precede()` does), and
+(a left operand or a receiver, as PsiBuilder's `Marker.precede()` does), and
 `_close(kind)` ends the innermost node. Tokens are consumed only by
 `_advance`, directly where the caller has just checked the token, or
 through `_expect(text)` and `_name(what)` where it may be missing.
@@ -33,7 +35,7 @@ declarations from expression statements. Token columns, needed only for
 error messages, are worked out when an error is raised.
 """
 
-from .cst import CstKind, CstNode, Marker, Tokens, TRIVIA_KINDS
+from .cst import CstKind, CstNode, Tokens, TRIVIA_KINDS
 from .errors import ParseError, position
 from .lexer import MODIFIER_KEYWORDS, PRIMITIVE_TYPE_KEYWORDS, scan
 
@@ -62,8 +64,9 @@ MAX_NESTING = 200
 _END_OF_FILE = (None, None)
 
 
-def parse(tokens: Tokens) -> list[Marker]:
-    """The markers of a scanned file, in postorder; raises ParseError."""
+def parse(tokens: Tokens) -> list[str | int]:
+    """The flat markers of a scanned file, in postorder; raises
+    ParseError."""
     return _Parser(tokens)._file()
 
 
@@ -78,9 +81,11 @@ def parse_file(source: str, path: str = "<memory>") -> CstNode:
     tokens = scan(source)
     markers = parse(tokens)
     leaves = tokens.leaves()
+    spans = tokens.spans(list(zip(markers[1::4], markers[2::4])))
     # (first, end, node) of the completed nodes whose parent is still open
     done: list[tuple[int, int, CstNode]] = []
-    for kind, first, end, count in markers:
+    it = iter(markers)
+    for (kind, first, end, count), span in zip(zip(it, it, it, it), spans):
         children: list[CstNode] = []
         pos = first
         for child_first, child_end, child in done[len(done) - count:]:
@@ -89,8 +94,7 @@ def parse_file(source: str, path: str = "<memory>") -> CstNode:
             pos = child_end
         del done[len(done) - count:]
         children += leaves[pos:end]
-        done.append((first, end,
-                     CstNode(kind, tokens.span(first, end), None, children)))
+        done.append((first, end, CstNode(kind, span, None, children)))
     root = done[0][2]
     root.parsed = (tokens, markers)
     return root
@@ -108,7 +112,7 @@ class _Parser:
         self._sig += (_END_OF_FILE, _END_OF_FILE)
         self._index.append(len(kinds))
         self._pos = 0
-        self.markers: list[Marker] = []
+        self.markers: list[str | int] = []
         # The first significant token of each open node and how many child
         # nodes it has so far, innermost last; the bottom entry is the FILE
         # node, open from the first token on.
@@ -170,7 +174,7 @@ class _Parser:
         start = self._index[first]
         # an empty node is zero-width at the next significant token
         end = self._index[self._pos - 1] + 1 if self._pos > first else start
-        self.markers.append((kind, start, end, self._counts.pop()))
+        self.markers += (kind, start, end, self._counts.pop())
         self._counts[-1] += 1
         self._last = first
         self._last_is_node = True
@@ -184,7 +188,7 @@ class _Parser:
 
     # -- declarations ---------------------------------------------------------
 
-    def _file(self) -> list[Marker]:
+    def _file(self) -> list[str | int]:
         while True:
             kind, text = self._peek()
             if kind is None:
@@ -201,8 +205,8 @@ class _Parser:
                 self._advance()
             else:
                 self._fail("class declaration")
-        self.markers.append((CstKind.FILE, 0, len(self.tokens.texts),
-                             self._counts[0]))
+        self.markers += (CstKind.FILE, 0, len(self.tokens.texts),
+                         self._counts[0])
         return self.markers
 
     def _class_decl(self) -> None:

@@ -3,13 +3,16 @@
 Discovers inputs split by split, processes one project at a time (first-level
 subdirectories, plus loose files under the split root), and runs the full
 stage chain per file on the calling thread, in discovery order, so output is
-the same at any `parallelism`, which starts no worker. A file's source text
-and its token and marker arrays are freed once its tree is built, so the
-later stages run beside one file's tree and lines, and a file larger than
-`MAX_FILE_BYTES` is counted as a failure without being read. Outputs are
-written under staging names and moved into place together once the run has
-finished, so a run that fails or is interrupted leaves the previous dataset
-as it was.
+the same at any `parallelism`, which starts no worker. A file's source text,
+its token arrays (kinds and texts, with no line per token) and its flat
+marker list are freed once its tree is built, so the later stages run beside
+one file's tree and lines, and a file larger than `MAX_FILE_BYTES` is
+counted as a failure without being read. A file that is not UTF-8 fails at
+the line and column of its first bad byte. Outputs are written under staging
+names and moved into place together once the run has finished, so a run
+that fails or is interrupted leaves the previous dataset as it was; the
+staging files of a run that was killed outright are removed by the next run
+of the same dataset name and format.
 """
 
 import logging
@@ -19,7 +22,7 @@ from typing import NamedTuple, TextIO
 
 from .ast_builder import build
 from .config import PipelineConfig
-from .errors import ConfigError, LexError, ParseError
+from .errors import ConfigError, LexError, ParseError, position
 from .filters import accept
 from .granularity import split as split_units
 from .labels import extract_method_name, extract_none
@@ -34,12 +37,16 @@ logger = logging.getLogger("treemine")
 
 SPLIT_NAMES = ("train", "val", "test")
 
+# the one split of an input directory that has none of SPLIT_NAMES
+WHOLE_SPLIT = "data"
+
 # label for the pseudo-project made of files sitting directly in a split root
 LOOSE_PROJECT = "."
 
 # The largest file a run reads, in bytes on disk. A run's peak RSS grows by
-# about 170 bytes per byte of its largest file, so this bounds it near
-# 700 MiB.
+# about 160 bytes per byte of its largest file when it writes whole-file
+# JSONL trees, and by about 145 when it mines methods, so this bounds it
+# near 650 MiB.
 MAX_FILE_BYTES = 4 * 2**20
 
 
@@ -62,7 +69,7 @@ def discover_splits(input_dir: Path) -> list[tuple[str, Path]]:
              if (input_dir / name).is_dir()]
     if named:
         return named
-    return [("data", input_dir)]
+    return [(WHOLE_SPLIT, input_dir)]
 
 
 def discover_projects(split_root: Path,
@@ -110,7 +117,13 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
                                        f"{MAX_FILE_BYTES}-byte bound", [])
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        return FileResult(relpath, f"not valid UTF-8: {exc}", [])
+        # the bytes before the first bad one decode; their lines end as
+        # universal newlines read them
+        before = exc.object[:exc.start].decode("utf-8")
+        line, column = position(
+            before.replace("\r\n", "\n").replace("\r", "\n"))
+        return FileResult(relpath, f"line {line}, column {column}: "
+                                   f"not valid UTF-8: {exc.reason}", [])
     except OSError as exc:
         return FileResult(relpath, f"cannot read: {exc}", [])
     try:
@@ -152,11 +165,19 @@ def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatis
 
     Per-file lex/parse failures are recorded and skipped; configuration and
     I/O problems raise. A run that raises, or is interrupted, changes no
-    file of `output_dir` and leaves no staging file behind.
+    file of `output_dir` and leaves no staging file behind. A run that is
+    killed outright runs no cleanup, so a run first removes the staging
+    files of its own dataset name and format, for every split a run can
+    have, and of stats.json; it touches no other file.
     """
     splits = discover_splits(config.input_dir)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     storage_spec = config.storage_spec()
+    own_staging = [staging_path(path) for path in (
+        *map(storage_spec.output_path, (*SPLIT_NAMES, WHOLE_SPLIT)),
+        config.output_dir / STATS_FILE)]
+    for path in own_staging:
+        path.unlink(missing_ok=True)
     stats = RunStatistics()
     staged: list[Path] = []
     try:
@@ -174,8 +195,8 @@ def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatis
         finalize(stats, summary_sink or sys.stdout, config.output_dir, staged)
     finally:
         # only a run that stopped before finalize moved them leaves any
-        for path in (*staged, config.output_dir / STATS_FILE):
-            staging_path(path).unlink(missing_ok=True)
+        for path in own_staging:
+            path.unlink(missing_ok=True)
     return stats
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
-from .ast_builder import AstNode
 from .labels import LabeledTree
 from .paths import PathContext, split_subtokens
 
@@ -115,32 +114,34 @@ def format_jsonl_tree(sample: LabeledTree) -> str:
 
     The bytes are those of `json.dumps(nodes, separators=(",", ":"))` over
     one dict per node: "type", then "value", "token_type" and "children"
-    where present, and "label" on the root. Each node is written as one
-    string as it is numbered, and the child ids of internal nodes are
-    filled in once every node has its id.
+    where present, and "label" on the root. The nodes are listed in preorder
+    and then written from the end of that list, each node after its
+    children, right to left. A node's id is then the node count less one
+    less the number written before it, so its children's ids are known when
+    its one string is made. The strings are put in order once at the end.
     """
+    order = list(sample.tree.preorder())
+    total = len(order)
     pieces: list[str] = []
-    internal: list[tuple[int, list[int]]] = []  # (id, child ids)
-    # (node, the id list of its parent's children); children are pushed in
-    # reverse so that they are numbered, and listed, in preorder
-    stack: list[tuple[AstNode, list[int] | None]] = [(sample.tree, None)]
-    while stack:
-        node, sibling_ids = stack.pop()
-        if sibling_ids is not None:
-            sibling_ids.append(len(pieces))
+    # the ids of the written nodes whose parent is not written yet: a
+    # node's children are the last of them, its leftmost child last of all
+    ids: list[int] = []
+    while order:
+        node = order.pop()
         piece = '{"type":' + _quote(node.node_type)
         if node.token is not None:
             piece += ',"value":' + _quote(node.token)
         if node.resolved_type is not None:
             piece += ',"token_type":' + _quote(node.resolved_type)
         if node.children:
-            ids: list[int] = []
-            internal.append((len(pieces), ids))
-            stack.extend((child, ids) for child in reversed(node.children))
+            n = len(node.children)
+            piece += (',"children":['
+                      + ",".join(map(str, reversed(ids[-n:]))) + "]")
+            del ids[-n:]
+        ids.append(total - 1 - len(pieces))
         pieces.append(piece)
-    for own_id, ids in internal:
-        pieces[own_id] += ',"children":[' + ",".join(map(str, ids)) + "]"
-    pieces[0] += ',"label":' + _quote(sample.label)
+    pieces[-1] += ',"label":' + _quote(sample.label)
+    pieces.reverse()
     return "[" + "},".join(pieces) + "}]\n"
 
 

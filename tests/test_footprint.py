@@ -1,8 +1,11 @@
-"""What a run holds: a bounded front end per source byte, and no OpenSSL.
+"""What a run holds: a bounded front end and writer per source byte, and no
+OpenSSL.
 
 The front end's peak and the tree it leaves are bounded per byte of a
-generated source file, under `tracemalloc`: tokens carry no byte offsets,
-and leaves carry no span and share one empty `children`.
+generated source file, under `tracemalloc`: tokens carry no lines, markers
+are one flat list, and leaves carry no span and share one empty `children`.
+So is what the JSONL writer adds to the tree of a whole file: it writes
+each node's string once, in reverse preorder, with no list per node.
 
 `hashlib` maps libcrypto, a few MB of a run's peak RSS, as it is imported.
 The one SHA-256 a run needs, the seed of each drawn sample, is computed by
@@ -22,8 +25,12 @@ from pathlib import Path
 import pytest
 
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES, build
+from treemine.granularity import split
+from treemine.labels import extract_none
 from treemine.lexer import scan
 from treemine.parser import parse
+from treemine.storage import format_jsonl_tree
+from treemine.type_resolver import annotate_types
 
 from conftest import GOLDEN_DIR, write_config
 
@@ -118,8 +125,8 @@ def generated_source(methods):
 
 def test_front_end_memory_per_source_byte():
     # bytes traced per source byte on CPython 3.10 to 3.13: a front-end peak
-    # of 124 to 126 (197 to 201 with byte offsets, a span on every node and
-    # a list per leaf) and a tree of 56 to 58 (119 to 121)
+    # of 100 to 102 (124 to 126 with a line per token and a tuple per
+    # marker) and a tree of 56 to 58
     source = generated_source(330)
     size = len(source.encode("utf-8"))
     assert 24_000 < size < 26_000
@@ -137,5 +144,29 @@ def test_front_end_memory_per_source_byte():
     finally:
         tracemalloc.stop()
     assert tree.children
-    assert peak / size < 150
+    assert peak / size < 113
     assert kept / size < 70
+
+
+def test_jsonl_writer_memory_per_source_byte():
+    # bytes traced per source byte above the tree, on CPython 3.10 to 3.13:
+    # 79 to 83 (133 to 137 with a tuple and a child-id list per internal
+    # node, and a second string for each)
+    source = generated_source(330)
+    size = len(source.encode("utf-8"))
+    tokens = scan(source)
+    tree = build(tokens, parse(tokens), frozenset(DEFAULT_IGNORE_NAMES))
+    del tokens
+    annotate_types(tree)
+    [unit] = split(tree, "file")
+    sample = extract_none(unit)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        line = format_jsonl_tree(sample)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert line.startswith('[{"type":"FILE","children":[1],"label":')
+    assert peak / size < 95

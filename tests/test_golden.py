@@ -15,22 +15,31 @@ from conftest import GOLDEN_DIR
 
 FORMATS = ("code2seq", "code2seq_typed", "jsonl_trees")
 
+# Each expected directory and the configuration that writes it: the three
+# formats by method with method-name labels, and whole-file JSONL trees with
+# no label, whose large trees pin the JSONL writer.
+GOLDEN_CONFIGS = {
+    **{fmt: {"granularity": "method",
+             "label_extractor": {"name": "method_name"},
+             "miner": {"max_contexts": 40},
+             "storage": {"format": fmt}} for fmt in FORMATS},
+    "jsonl_trees_file": {"granularity": "file",
+                         "storage": {"format": "jsonl_trees"}},
+}
+
 
 def golden_config(fmt, out_dir, parallelism=1):
     return validate_config({
         "input_dir": str(GOLDEN_DIR / "input"),
         "output_dir": str(out_dir),
         "dataset_name": "golden",
-        "granularity": "method",
-        "label_extractor": {"name": "method_name"},
-        "miner": {"max_contexts": 40},
-        "storage": {"format": fmt},
+        **GOLDEN_CONFIGS[fmt],
         "parallelism": parallelism,
     })
 
 
 @pytest.mark.parametrize("workers", (1, 4))
-@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("fmt", GOLDEN_CONFIGS)
 def test_output_matches_golden(fmt, workers, tmp_path):
     out_dir = tmp_path / "out"
     run(golden_config(fmt, out_dir, workers), summary_sink=io.StringIO())

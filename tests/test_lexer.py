@@ -1,11 +1,12 @@
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treemine import CstKind, LexError
-from treemine.lexer import tokenize
+from treemine import CstKind, LexError, cst
+from treemine.lexer import scan, tokenize
 
 from oracle_lexer import tokenize as oracle_tokenize
 
@@ -267,6 +268,37 @@ def test_spans_tile_the_source(source):
         assert token.span.line_end == (consumed.count("\n") + 1
                                        - token.text.endswith("\n"))
     assert consumed == source
+
+
+@given(st.text(alphabet=_ALPHABET, max_size=80),
+       st.lists(st.tuples(st.integers(0, 90), st.integers(0, 90)),
+                max_size=8),
+       st.sampled_from([1, 2, 3, 4096]))
+@settings(max_examples=200)
+def test_spans_of_any_token_ranges(source, pairs, join_tokens):
+    try:
+        tokens = scan(source)
+    except LexError:
+        assume(False)
+    texts = tokens.texts
+    ranges = [tuple(sorted((min(a, len(texts)), min(b, len(texts)))))
+              for a, b in pairs]
+    # the sweep joins at most `join_tokens` tokens at once
+    with mock.patch.object(cst, "_JOIN_TOKENS", join_tokens):
+        spans = tokens.spans(ranges)
+    assert len(spans) == len(ranges)
+    for (first, end), span in zip(ranges, spans):
+        start = "".join(texts[:first]).count("\n") + 1
+        if first < end:
+            # a newline belongs to the line it ends
+            last = ("".join(texts[:end]).count("\n") + 1
+                    - texts[end - 1].endswith("\n"))
+        elif first == len(texts) and texts:
+            # an empty range past the last token is on the line it ends
+            start = last = start - texts[-1].endswith("\n")
+        else:
+            last = start
+        assert span == (start, last)
 
 
 # Fragments that open, close or break every multi-character token, with

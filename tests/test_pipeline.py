@@ -147,12 +147,25 @@ def test_process_file_parse_error(tmp_path):
 
 
 def test_process_file_invalid_utf8(tmp_path):
+    # CRLF, a lone CR and LF each end one line, as universal newlines read
+    # them, and columns count characters
+    cases = [
+        (b"class A { // caf\xe9\n }",
+         "line 1, column 17: not valid UTF-8: invalid continuation byte"),
+        (b"class A {\n  int x;\n\n\xff }",
+         "line 4, column 1: not valid UTF-8: invalid start byte"),
+        (b"class A {\r\n\r\n  \xff",
+         "line 3, column 3: not valid UTF-8: invalid start byte"),
+        (b"class A {\r\rint x;\r\xff",
+         "line 4, column 1: not valid UTF-8: invalid start byte"),
+        (b"class A { // caf\xc3\xa9 \xc3\xa9\xff",
+         "line 1, column 20: not valid UTF-8: invalid start byte"),
+    ]
     path = tmp_path / "latin.java"
-    path.write_bytes(b"class A { // caf\xe9\n }")
     config = validate_config(base_config(tmp_path, tmp_path / "out"))
-    result = process_file(path, "latin.java", config)
-    assert result.error is not None
-    assert "UTF-8" in result.error
+    for raw, error in cases:
+        path.write_bytes(raw)
+        assert process_file(path, "latin.java", config).error == error
 
 
 def test_run_end_to_end_counts(tmp_path):
@@ -272,6 +285,28 @@ def test_interrupted_run_leaves_the_previous_dataset(tmp_path, monkeypatch,
     with pytest.raises(KeyboardInterrupt):
         run(config, summary_sink=io.StringIO())
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_run_removes_its_own_stale_staging_files(tmp_path):
+    # a run killed with SIGKILL had three splits; this run has one, and it
+    # removes that run's staging files of the same dataset name and format,
+    # and stats.json's, and no other file
+    in_dir = tmp_path / "in"
+    out_dir = tmp_path / "out"
+    write_files(in_dir, {"A.java": LOOSE})
+    out_dir.mkdir()
+    stale = [".dataset.train.c2s.partial", ".dataset.val.c2s.partial",
+             ".dataset.data.c2s.partial", ".stats.json.partial"]
+    kept = [".other.train.c2s.partial", ".dataset.train.jsonl.partial",
+            ".dataset.extra.c2s.partial", "dataset.train.c2s", "notes.txt"]
+    for name in stale + kept:
+        (out_dir / name).write_text("left behind\n")
+    run(validate_config(base_config(in_dir, out_dir)),
+        summary_sink=io.StringIO())
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        kept + ["dataset.data.c2s", "stats.json"])
+    for name in kept:
+        assert (out_dir / name).read_text() == "left behind\n"
 
 
 def test_run_missing_input_dir(tmp_path):
