@@ -93,13 +93,7 @@ class AstNode:
         return found
 
     def leaves(self) -> Iterator["AstNode"]:
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(reversed(node.children))
-            else:
-                yield node
+        return (node for node in self.preorder() if not node.children)
 
     def preorder(self) -> Iterator["AstNode"]:
         stack = [self]

@@ -98,10 +98,6 @@ class SourceSpan(NamedTuple):
 # node, so `Tokens.spans` calls tuple's constructor with the class instead.
 new_span = tuple.__new__
 
-# How many tokens `Tokens.spans` joins at once to count their newlines, so
-# that a long range costs no copy of its text.
-_JOIN_TOKENS = 4096
-
 
 class Tokens(NamedTuple):
     """One file's tokens, trivia included, as parallel lists."""
@@ -122,9 +118,6 @@ class Tokens(NamedTuple):
         line = 1
         pos = 0
         for boundary in sorted({bound for pair in ranges for bound in pair}):
-            while boundary - pos > _JOIN_TOKENS:
-                line += "".join(texts[pos:pos + _JOIN_TOKENS]).count("\n")
-                pos += _JOIN_TOKENS
             line += "".join(texts[pos:boundary]).count("\n")
             starts[boundary] = line
             pos = boundary

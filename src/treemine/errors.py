@@ -6,8 +6,8 @@ def position(text: str) -> tuple[int, int]:
     return text.count("\n") + 1, len(text) - text.rfind("\n")
 
 
-class LexError(Exception):
-    """Input contains a character sequence no token can cover."""
+class SourceError(Exception):
+    """An input file fails at a 1-based line and column."""
 
     def __init__(self, line: int, column: int, message: str):
         self.line = line
@@ -16,17 +16,17 @@ class LexError(Exception):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-class ParseError(Exception):
+class LexError(SourceError):
+    """Input contains a character sequence no token can cover."""
+
+
+class ParseError(SourceError):
     """Input is outside the supported grammar."""
 
     def __init__(self, line: int, column: int, expected: str, found: str):
-        self.line = line
-        self.column = column
         self.expected = expected
         self.found = found
-        super().__init__(
-            f"line {line}, column {column}: expected {expected}, found {found}"
-        )
+        super().__init__(line, column, f"expected {expected}, found {found}")
 
 
 class ConfigError(Exception):

@@ -16,9 +16,10 @@ markers on its FILE root, where `ast_builder.build_ast` reads them.
 Productions drive one stack of open nodes. `_open()` starts a node at the
 next token, `_wrap()` starts one at the start of the element just completed
 (a left operand or a receiver, as PsiBuilder's `Marker.precede()` does), and
-`_close(kind)` ends the innermost node. Tokens are consumed only by
-`_advance`, directly where the caller has just checked the token, or
-through `_expect(text)` and `_name(what)` where it may be missing.
+`_close(kind)` ends the innermost node. Tokens are consumed by `_advance`,
+directly where the caller has just checked the token, or through
+`_expect(text)` and `_name(what)` where it may be missing; `_type_ref` alone
+moves past a whole type at once, to where `_type_end` scanned.
 
 Every chain is a loop that keeps its nodes open until the chain ends: an
 `else if` opens its IF_STMT inside the previous one, prefix operators open
@@ -125,9 +126,9 @@ class _Parser:
 
     # -- token stream and node stack ------------------------------------------
 
-    def _peek(self, offset: int = 0) -> tuple[str | None, str | None]:
-        """The (offset+1)-th significant token ahead, as (kind, text)."""
-        return self._sig[self._pos + offset]
+    def _peek(self) -> tuple[str | None, str | None]:
+        """The next significant token, as (kind, text)."""
+        return self._sig[self._pos]
 
     def _peek_text(self, offset: int = 0) -> str | None:
         return self._sig[self._pos + offset][1]
@@ -198,11 +199,7 @@ class _Parser:
                 self._class_decl()
             elif kind == CstKind.IDENTIFIER and text in ("package", "import"):
                 # header lines are kept as raw leaf tokens, not parsed
-                while not self._at(";"):
-                    if self._peek_text() is None:
-                        self._fail("';'")
-                    self._advance()
-                self._advance()
+                self._until(";", self._advance)
             else:
                 self._fail("class declaration")
         self.markers += (CstKind.FILE, 0, len(self.tokens.texts),
@@ -224,22 +221,13 @@ class _Parser:
                 self._advance()
                 self._type_ref()
         self._expect("{")
-        while True:
-            text = self._peek_text()
-            if text is None:
-                self._fail("'}'")
-            if text == "}":
-                break
-            self._member(name)
-        self._advance()
+        self._until("}", lambda: self._member(name))
         self._close(CstKind.CLASS_DECL)
 
     def _modifier_list(self, allow_annotations: bool) -> None:
         self._open()
         while True:
             kind, text = self._peek()
-            if kind is None:
-                break
             if kind == CstKind.KEYWORD and text in MODIFIER_KEYWORDS:
                 self._open()
                 self._advance()
@@ -285,32 +273,52 @@ class _Parser:
 
     def _type_ref(self) -> None:
         self._open()
-        kind, text = self._peek()
-        if kind == CstKind.KEYWORD and text in _TYPE_START_KEYWORDS:
-            self._advance()
-        elif kind == CstKind.IDENTIFIER:
-            self._advance()
-            while self._at(".") and self._is_identifier(1):
-                self._advance()
-                self._advance()
-        else:
-            self._fail("type")
-        if self._at("<"):
-            self._advance()
-            depth = 1
-            while depth > 0:
-                inner = self._peek_text()
-                if inner is None or inner in (";", "{", "}", "(", ")", "="):
-                    self._fail("'>'")
-                if inner == "<":
-                    depth += 1
-                elif inner == ">":
-                    depth -= 1
-                self._advance()
-        while self._at("[") and self._peek_text(1) == "]":
-            self._advance()
-            self._advance()
+        self._pos, expected, _ = self._type_end()
+        if expected is not None:
+            self._fail(expected)
         self._close(CstKind.TYPE_REF)
+
+    def _type_end(self) -> tuple[int, str | None, bool]:
+        """Scan, consuming nothing, the type at the next token: (void | a
+        primitive | IDENT ('.' IDENT)*) ('<' balanced '>')? ('[' ']')*. Its
+        type arguments hold any token but `; { } ( ) =`.
+
+        Returns the index just past the type, what was expected where it
+        ends early or None, and whether every type-argument token is plain:
+        a name, a primitive or `< > , . [ ]`, as a local's must be.
+        """
+        sig = self._sig
+        j = self._pos
+        kind, text = sig[j]
+        if kind == CstKind.IDENTIFIER:
+            j += 1
+            while sig[j][1] == "." and sig[j + 1][0] == CstKind.IDENTIFIER:
+                j += 2
+        elif kind == CstKind.KEYWORD and text in _TYPE_START_KEYWORDS:
+            j += 1
+        else:
+            return j, "type", True
+        plain = True
+        if sig[j][1] == "<":
+            depth = 1
+            j += 1
+            while depth > 0:
+                kind, text = sig[j]
+                if text is None or text in (";", "{", "}", "(", ")", "="):
+                    return j, "'>'", plain
+                if text == "<":
+                    depth += 1
+                elif text == ">":
+                    depth -= 1
+                elif not (kind == CstKind.IDENTIFIER
+                          or text in (",", ".", "[", "]")
+                          or (kind == CstKind.KEYWORD
+                              and text in PRIMITIVE_TYPE_KEYWORDS)):
+                    plain = False
+                j += 1
+        while sig[j][1] == "[" and sig[j + 1][1] == "]":
+            j += 2
+        return j, None, plain
 
     def _list(self, kind: str, item) -> None:
         """'(' (item (',' item)*)? ')': a parameter or an argument list."""
@@ -335,15 +343,16 @@ class _Parser:
     def _code_block(self) -> None:
         self._open()
         self._expect("{")
-        while True:
-            text = self._peek_text()
-            if text is None:
-                self._fail("'}'")
-            if text == "}":
-                break
-            self._statement()
-        self._advance()
+        self._until("}", self._statement)
         self._close(CstKind.CODE_BLOCK)
+
+    def _until(self, closer: str, item) -> None:
+        """item() until `closer`, then consume it; end of file first fails."""
+        while (text := self._peek_text()) != closer:
+            if text is None:
+                self._fail(f"'{closer}'")
+            item()
+        self._advance()
 
     def _statement(self) -> None:
         self._nest()
@@ -370,36 +379,14 @@ class _Parser:
         self._depth -= 1
 
     def _looks_like_decl(self) -> bool:
-        # A primitive type keyword, or IDENT ('.' IDENT)* ('<' balanced '>')?
-        # ('[' ']')* IDENT, marks a local variable declaration.
+        # A primitive type keyword, or a whole type with plain type
+        # arguments followed by a name, marks a local variable declaration.
         kind, text = self._peek()
         if kind == CstKind.KEYWORD:
             return text in PRIMITIVE_TYPE_KEYWORDS
-        if kind != CstKind.IDENTIFIER:
-            return False
-        j = 1
-        while self._peek_text(j) == "." and self._is_identifier(j + 1):
-            j += 2
-        if self._peek_text(j) == "<":
-            depth = 1
-            j += 1
-            while depth > 0:
-                kind, text = self._peek(j)
-                if kind is None:
-                    return False
-                if text == "<":
-                    depth += 1
-                elif text == ">":
-                    depth -= 1
-                elif not (kind == CstKind.IDENTIFIER
-                          or text in (",", ".", "[", "]")
-                          or (kind == CstKind.KEYWORD
-                              and text in PRIMITIVE_TYPE_KEYWORDS)):
-                    return False
-                j += 1
-        while self._peek_text(j) == "[" and self._peek_text(j + 1) == "]":
-            j += 2
-        return self._is_identifier(j)
+        end, expected, plain = self._type_end()
+        return (expected is None and plain
+                and self._sig[end][0] == CstKind.IDENTIFIER)
 
     def _is_identifier(self, offset: int = 0) -> bool:
         return self._sig[self._pos + offset][0] == CstKind.IDENTIFIER

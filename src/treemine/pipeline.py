@@ -22,7 +22,7 @@ from typing import NamedTuple, TextIO
 
 from .ast_builder import build
 from .config import PipelineConfig
-from .errors import ConfigError, LexError, ParseError, position
+from .errors import ConfigError, SourceError, position
 from .filters import accept
 from .granularity import split as split_units
 from .labels import extract_method_name, extract_none
@@ -120,16 +120,16 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
         # the bytes before the first bad one decode; their lines end as
         # universal newlines read them
         before = exc.object[:exc.start].decode("utf-8")
-        line, column = position(
-            before.replace("\r\n", "\n").replace("\r", "\n"))
-        return FileResult(relpath, f"line {line}, column {column}: "
-                                   f"not valid UTF-8: {exc.reason}", [])
+        error = SourceError(*position(
+            before.replace("\r\n", "\n").replace("\r", "\n")),
+            f"not valid UTF-8: {exc.reason}")
+        return FileResult(relpath, str(error), [])
     except OSError as exc:
         return FileResult(relpath, f"cannot read: {exc}", [])
     try:
         tokens = scan(text)
         markers = parse(tokens)
-    except (LexError, ParseError) as exc:
+    except SourceError as exc:
         return FileResult(relpath, str(exc), [])
     tree = build(tokens, markers, config.ignore)
     # the tree holds all that the later stages read: free the source and the

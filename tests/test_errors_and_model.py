@@ -1,6 +1,7 @@
 from treemine import ConfigError, CstKind, LexError, ParseError, SourceSpan
 from treemine.cst import (COMMENT_KINDS, CST_KIND_NAMES, TOKEN_KINDS,
                           TRIVIA_KINDS)
+from treemine.errors import SourceError
 from treemine.lexer import tokenize
 from treemine import parse_file
 
@@ -19,6 +20,19 @@ def test_parse_error_fields_and_message():
     assert err.expected == "identifier"
     assert err.found == "'}'"
     assert str(err) == "line 1, column 15: expected identifier, found '}'"
+
+
+def test_lex_and_parse_errors_are_source_errors():
+    """One base class holds the position and formats the message."""
+    for err, position, message in [
+            (LexError(3, 7, "unexpected character '#'"), (3, 7),
+             "unexpected character '#'"),
+            (ParseError(1, 15, "identifier", "'}'"), (1, 15),
+             "expected identifier, found '}'")]:
+        assert isinstance(err, SourceError)
+        assert (err.line, err.column) == position
+        assert err.message == message
+        assert str(err) == f"line {position[0]}, column {position[1]}: {message}"
 
 
 def test_config_error_collects_problems():

@@ -1,11 +1,10 @@
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treemine import CstKind, LexError, cst
+from treemine import CstKind, LexError
 from treemine.lexer import scan, tokenize
 
 from oracle_lexer import tokenize as oracle_tokenize
@@ -272,10 +271,9 @@ def test_spans_tile_the_source(source):
 
 @given(st.text(alphabet=_ALPHABET, max_size=80),
        st.lists(st.tuples(st.integers(0, 90), st.integers(0, 90)),
-                max_size=8),
-       st.sampled_from([1, 2, 3, 4096]))
+                max_size=8))
 @settings(max_examples=200)
-def test_spans_of_any_token_ranges(source, pairs, join_tokens):
+def test_spans_of_any_token_ranges(source, pairs):
     try:
         tokens = scan(source)
     except LexError:
@@ -283,9 +281,7 @@ def test_spans_of_any_token_ranges(source, pairs, join_tokens):
     texts = tokens.texts
     ranges = [tuple(sorted((min(a, len(texts)), min(b, len(texts)))))
               for a, b in pairs]
-    # the sweep joins at most `join_tokens` tokens at once
-    with mock.patch.object(cst, "_JOIN_TOKENS", join_tokens):
-        spans = tokens.spans(ranges)
+    spans = tokens.spans(ranges)
     assert len(spans) == len(ranges)
     for (first, end), span in zip(ranges, spans):
         start = "".join(texts[:first]).count("\n") + 1

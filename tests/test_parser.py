@@ -175,6 +175,38 @@ def test_generic_type_reconstruction():
     assert "int[][]" in type_texts
 
 
+@pytest.mark.parametrize("source, decl", [
+    ("class A { Foo<a + b> f; }", CstKind.FIELD_DECL),
+    ("class A { List<T extends X> v; }", CstKind.FIELD_DECL),
+])
+def test_member_type_arguments_may_hold_any_token(source, decl):
+    """A member's type arguments may hold any token but `; { } ( ) =`."""
+    shape = significant(parse_file(source))
+    assert shape.count(decl) == 1
+    assert shape.count(CstKind.TYPE_REF) == 1
+
+
+@pytest.mark.parametrize("stop", [";", "{", "}", "(", ")", "="])
+def test_type_arguments_end_at_a_stop_token(stop):
+    with pytest.raises(ParseError) as info:
+        parse_file(f"class A {{ Foo<a {stop} b> f; }}")
+    assert (info.value.expected, info.value.found) == ("'>'", repr(stop))
+    assert (info.value.line, info.value.column) == (1, 17)
+
+
+def test_local_type_arguments_hold_only_plain_tokens():
+    """A local's type arguments hold only names, primitive type keywords and
+    `< > , . [ ]`; any other token makes the statement an expression."""
+    shape = significant(parse_file("class A { void m() { Foo<a + b> x; } }"))
+    assert CstKind.LOCAL_VAR_DECL not in shape
+    assert shape[shape.index(CstKind.EXPR_STMT) + 1] == CstKind.BINARY_EXPR
+    assert shape.count(CstKind.BINARY_EXPR) == 3
+    with pytest.raises(ParseError) as info:
+        parse_file("class A { void m() { List<T extends X> v; } }")
+    assert str(info.value) == ("line 1, column 29: "
+                               "expected ';', found 'extends'")
+
+
 def test_method_call_vs_reference():
     source = "class A { void f() { g(); x = y; a.b(); c.d = e; } }"
     shape = significant(parse_file(source))
@@ -317,12 +349,16 @@ def test_parse_error_top_level_statement():
 
 def test_parse_error_at_eof():
     """An error at end of file points just past the file's last character."""
-    for source, position in [("class A {", (1, 10)),
-                             ("class A {\n  int x;\n", (3, 1)),
-                             ("class A { // c\n\n", (3, 1))]:
+    for source, position, expected in [
+            ("class A {", (1, 10), "'}'"),
+            ("class A {\n  int x;\n", (3, 1), "'}'"),
+            ("class A { // c\n\n", (3, 1), "'}'"),
+            ("package a.b", (1, 12), "';'"),
+            ("class A { void m() {", (1, 21), "'}'")]:
         with pytest.raises(ParseError) as info:
             parse_file(source)
         assert info.value.found == "end of file"
+        assert info.value.expected == expected, source
         assert (info.value.line, info.value.column) == position, source
 
 
