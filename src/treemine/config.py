@@ -83,12 +83,12 @@ def load_config(path: Path, *,
     """Load and validate a configuration file, as written and then with a
     `parallelism` override if one is given."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, nested past the recursion limit, or an
+        # integer past the digit limit of int()
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     config = validate_config(raw)
     if parallelism is None:

@@ -1,7 +1,8 @@
 """Tree filters: uniform predicates deciding which units enter the dataset.
 
 Method filters read modifiers through `AstNode.modifiers()`, which also finds
-every annotation, because the grammar allows annotations nowhere else.
+every annotation, because the grammar allows annotations only in a member's
+modifier list.
 """
 
 from typing import NamedTuple

@@ -273,19 +273,19 @@ class _Parser:
 
     def _type_ref(self) -> None:
         self._open()
-        self._pos, expected, _ = self._type_end()
+        self._pos, expected = self._type_end()
         if expected is not None:
             self._fail(expected)
         self._close(CstKind.TYPE_REF)
 
-    def _type_end(self) -> tuple[int, str | None, bool]:
+    def _type_end(self) -> tuple[int, str | None]:
         """Scan, consuming nothing, the type at the next token: (void | a
-        primitive | IDENT ('.' IDENT)*) ('<' balanced '>')? ('[' ']')*. Its
-        type arguments hold any token but `; { } ( ) =`.
+        primitive | IDENT ('.' IDENT)*) ('<' balanced '>')? ('[' ']')*. In
+        every position its type arguments hold only names, primitive type
+        keywords and `< > , . [ ]`.
 
-        Returns the index just past the type, what was expected where it
-        ends early or None, and whether every type-argument token is plain:
-        a name, a primitive or `< > , . [ ]`, as a local's must be.
+        Returns the index just past the type and None, or the index of the
+        token where it ends early and what was expected there.
         """
         sig = self._sig
         j = self._pos
@@ -297,15 +297,12 @@ class _Parser:
         elif kind == CstKind.KEYWORD and text in _TYPE_START_KEYWORDS:
             j += 1
         else:
-            return j, "type", True
-        plain = True
+            return j, "type"
         if sig[j][1] == "<":
             depth = 1
             j += 1
             while depth > 0:
                 kind, text = sig[j]
-                if text is None or text in (";", "{", "}", "(", ")", "="):
-                    return j, "'>'", plain
                 if text == "<":
                     depth += 1
                 elif text == ">":
@@ -314,11 +311,11 @@ class _Parser:
                           or text in (",", ".", "[", "]")
                           or (kind == CstKind.KEYWORD
                               and text in PRIMITIVE_TYPE_KEYWORDS)):
-                    plain = False
+                    return j, "'>'"
                 j += 1
         while sig[j][1] == "[" and sig[j + 1][1] == "]":
             j += 2
-        return j, None, plain
+        return j, None
 
     def _list(self, kind: str, item) -> None:
         """'(' (item (',' item)*)? ')': a parameter or an argument list."""
@@ -379,14 +376,13 @@ class _Parser:
         self._depth -= 1
 
     def _looks_like_decl(self) -> bool:
-        # A primitive type keyword, or a whole type with plain type
-        # arguments followed by a name, marks a local variable declaration.
+        # A primitive type keyword, or a whole type followed by a name, marks
+        # a local variable declaration.
         kind, text = self._peek()
         if kind == CstKind.KEYWORD:
             return text in PRIMITIVE_TYPE_KEYWORDS
-        end, expected, plain = self._type_end()
-        return (expected is None and plain
-                and self._sig[end][0] == CstKind.IDENTIFIER)
+        end, expected = self._type_end()
+        return expected is None and self._sig[end][0] == CstKind.IDENTIFIER
 
     def _is_identifier(self, offset: int = 0) -> bool:
         return self._sig[self._pos + offset][0] == CstKind.IDENTIFIER

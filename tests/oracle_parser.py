@@ -256,12 +256,17 @@ class _Parser:
             depth = 1
             while depth > 0:
                 inner = self._peek()
-                if inner is None or inner.text in (";", "{", "}", "(", ")", "="):
+                if inner is None:
                     self._fail("'>'")
                 if inner.text == "<":
                     depth += 1
                 elif inner.text == ">":
                     depth -= 1
+                elif not (inner.kind == CstKind.IDENTIFIER
+                          or inner.text in (",", ".", "[", "]")
+                          or (inner.kind == CstKind.KEYWORD
+                              and inner.text in PRIMITIVE_TYPE_KEYWORDS)):
+                    self._fail("'>'")
                 self._advance(children)
         while self._at("[") and self._peek_text(1) == "]":
             self._expect(children, "'['", text="[")

@@ -275,6 +275,23 @@ def test_python_m_runs_the_cli(tmp_path, module):
     assert "configuration error" in done.stderr
 
 
+@pytest.mark.parametrize("content", [
+    b'{"input_dir": "\xff"}', b"[" * 100_000, b"1" * 5000,
+], ids=["not_utf8", "nested_100000", "int_5000_digits"])
+def test_unreadable_config_file_exits_2_without_a_traceback(tmp_path,
+                                                             content):
+    config_path = tmp_path / "treemine.json"
+    config_path.write_bytes(content)
+    done = subprocess.run(
+        [sys.executable, "-m", "treemine", "--config", str(config_path)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == EXIT_CONFIG
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("configuration error: ")
+
+
 def test_missing_config_flag_exits():
     with pytest.raises(SystemExit):
         main([])

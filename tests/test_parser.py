@@ -175,15 +175,19 @@ def test_generic_type_reconstruction():
     assert "int[][]" in type_texts
 
 
-@pytest.mark.parametrize("source, decl", [
-    ("class A { Foo<a + b> f; }", CstKind.FIELD_DECL),
-    ("class A { List<T extends X> v; }", CstKind.FIELD_DECL),
-])
-def test_member_type_arguments_may_hold_any_token(source, decl):
-    """A member's type arguments may hold any token but `; { } ( ) =`."""
-    shape = significant(parse_file(source))
-    assert shape.count(decl) == 1
-    assert shape.count(CstKind.TYPE_REF) == 1
+@pytest.mark.parametrize("source, found, column", [
+    ("class A { Foo<a + b> f; }", "'+'", 17),
+    ("class A { List<T extends X> v; }", "'extends'", 18),
+    ("class A { List<@A String> f; }", "'@'", 16),
+    ("class A { Object f = new Foo<1>(); }", "'1'", 30),
+], ids=["operator", "extends", "annotation", "literal"])
+def test_member_type_arguments_hold_only_plain_tokens(source, found, column):
+    """A member's type arguments, like a local's, hold only names, primitive
+    type keywords and `< > , . [ ]`; any other token fails the file."""
+    with pytest.raises(ParseError) as info:
+        parse_file(source)
+    assert str(info.value) == (f"line 1, column {column}: "
+                               f"expected '>', found {found}")
 
 
 @pytest.mark.parametrize("stop", [";", "{", "}", "(", ")", "="])
@@ -577,15 +581,51 @@ def test_matches_reference_parser(name):
     _assert_matches_reference(REFERENCE_INPUTS[name])
 
 
+# Tokens that may not stand in type arguments, the six that end a statement
+# or a list among them.
+NON_PLAIN_TOKENS = ["+", "1", "@", "extends", '"s"', "||", "new",
+                    ";", "{", "}", "(", ")", "="]
+
+
 def _draw_mutant(data):
-    """A reference input, truncated or with one token deleted."""
+    """A reference input, truncated, with one token deleted, or with one
+    non-plain token inserted."""
     source = data.draw(st.sampled_from(list(REFERENCE_INPUTS.values())))
-    if data.draw(st.booleans()):
+    mutation = data.draw(st.sampled_from(["truncate", "delete", "insert"]))
+    if mutation == "truncate":
         return source[:data.draw(st.integers(0, len(source)))]
     tokens = _token_texts(source)
-    if tokens:
+    if mutation == "insert":
+        tokens.insert(data.draw(st.integers(0, len(tokens))),
+                      f" {data.draw(st.sampled_from(NON_PLAIN_TOKENS))} ")
+    elif tokens:
         del tokens[data.draw(st.integers(0, len(tokens) - 1))]
     return "".join(tokens)
+
+
+# Each type position, with `#` inside its type arguments.
+TYPE_POSITIONS = {
+    "field": "class A { Foo<a # b> f; }",
+    "method_return": "class A { Foo<a # b> m() {} }",
+    "parameter": "class A { void m(Foo<a # b> p) {} }",
+    "local": "class A { void m() { Foo<a # b> x; } }",
+    "new": "class A { void m() { x = new Foo<a # b>(); } }",
+    "extends": "class A extends Foo<a # b> {}",
+    "implements": "class A implements B, Foo<a # b> {}",
+}
+
+
+@pytest.mark.parametrize("token", NON_PLAIN_TOKENS)
+@pytest.mark.parametrize("position", TYPE_POSITIONS)
+def test_type_positions_agree_with_reference_parser(position, token):
+    source = TYPE_POSITIONS[position].replace("#", token)
+    _assert_matches_reference(source)
+    if position != "local":  # there, the statement may be an expression
+        with pytest.raises(ParseError) as info:
+            parse_file(source)
+        column = TYPE_POSITIONS[position].index("#") + 1
+        assert str(info.value) == (f"line 1, column {column}: "
+                                   f"expected '>', found {token!r}")
 
 
 @settings(max_examples=300, deadline=None)
