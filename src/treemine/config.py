@@ -78,14 +78,27 @@ class PipelineConfig:
                            self.dataset_name)
 
 
+# The largest configuration file read, in bytes: a configuration is a few
+# hundred bytes, and a larger file is refused before it is parsed.
+MAX_CONFIG_BYTES = 2**20
+
+
 def load_config(path: Path, *,
                 parallelism: int | None = None) -> PipelineConfig:
     """Load and validate a configuration file, as written and then with a
     `parallelism` override if one is given."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        # one byte past the bound tells a file over it; an endless file,
+        # such as /dev/zero, is read no further
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file: {exc}") from exc
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"configuration file is larger than the "
+                          f"{MAX_CONFIG_BYTES}-byte bound")
+    try:
+        raw = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # not UTF-8, not JSON, nested past the recursion limit, or an
         # integer past the digit limit of int()

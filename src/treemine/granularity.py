@@ -17,5 +17,15 @@ def split(tree: AstNode, level: str) -> list[AstNode]:
     if level == "class":
         return [c for c in tree.children if c.node_type == CstKind.CLASS_DECL]
     if level == "method":
-        return [n for n in tree.preorder() if n.node_type in METHOD_NODE_TYPES]
+        # no member lies inside a member, so the walk stops at a unit and
+        # never enters a method body
+        units = []
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node.node_type in METHOD_NODE_TYPES:
+                units.append(node)
+            else:
+                stack.extend(reversed(node.children))
+        return units
     raise ValueError(f"unknown granularity level: {level!r}")

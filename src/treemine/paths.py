@@ -17,6 +17,11 @@ sample from the count, lists again only the leaves where a drawn pair falls
 and builds only the contexts it keeps, so its memory grows with the leaves
 and the limits, not with the valid pairs.
 
+A context is made as the text a code2seq line writes (`PathContext`), so
+the writer only joins it. A leaf's token, type and chain node types are made
+once per unit, the first time the leaf ends a kept context, and each half of
+a path once per leaf and height; nothing is kept from one unit to the next.
+
 The seed of each drawn sample is the SHA-256 of a short key, computed here
 rather than with `hashlib`, which maps OpenSSL's libcrypto, about 3.6 MB of
 resident memory, into every process that imports it.
@@ -40,10 +45,18 @@ class MinerLimits(NamedTuple):
 
 
 class PathContext(NamedTuple):
-    start_token: tuple[str, ...]
+    """A context as a code2seq line writes it: five strings.
+
+    A token is its subtokens joined by `|`. A type is the resolved type, or
+    NO_TYPE, with whitespace removed and `,` written as `;`, so that a comma
+    separates only the fields of a context. The path is the node types from
+    the start leaf up to the common ancestor and down to the end leaf,
+    joined by `|`; node types hold no comma or whitespace.
+    """
+    start_token: str
     start_type: str
-    path: tuple[str, ...]
-    end_token: tuple[str, ...]
+    path: str
+    end_token: str
     end_type: str
 
 
@@ -285,20 +298,50 @@ class _LeafIndex:
 
 
 def _build(chains: list[list[AstNode]], pairs: list[Pair]) -> list[PathContext]:
-    """One context per pair; each leaf's subtokens and chain types once."""
-    ends: dict[int, tuple[tuple[str, ...], str, list[str]]] = {}
-    contexts = []
+    """One context per pair, each of its strings made at most once.
+
+    A leaf's token, type and chain node types are made the first time the
+    leaf ends a context. The path's rising half, the start leaf up to the
+    common ancestor, is joined once per (leaf, height): pairs come grouped
+    by start leaf and height, so it is the last one joined or a new one.
+    The falling half, below the ancestor down to the end leaf, is kept by
+    (leaf, height), so a context costs one concatenation. Nothing outlives
+    the call.
+    """
+    ends: dict[int, tuple[str, str, list[str]]] = {}
+
+    def end_of(k: int) -> tuple[str, str, list[str]]:
+        end = ends.get(k)
+        if end is None:
+            chain = chains[k]
+            leaf = chain[0]
+            end = ends[k] = (
+                "|".join(split_subtokens(leaf.token or "")),
+                "".join((leaf.resolved_type or NO_TYPE).split())
+                .replace(",", ";"),
+                [node.node_type for node in chain])
+        return end
+
+    # keyed by down * n + j, one key per (leaf, height) as 1 <= down and
+    # j < n
+    falls: dict[int, tuple[str, str, str]] = {}
+    n = len(chains)
+    contexts: list[PathContext] = []
+    new = tuple.__new__
+    last_i = last_up = -1
     for i, j, up, down in pairs:
-        for leaf_index in (i, j):
-            if leaf_index not in ends:
-                chain = chains[leaf_index]
-                leaf = chain[0]
-                ends[leaf_index] = (tuple(split_subtokens(leaf.token or "")),
-                                    leaf.resolved_type or NO_TYPE,
-                                    [n.node_type for n in chain])
-        start_token, start_type, rising = ends[i]
-        end_token, end_type, falling = ends[j]
-        path = tuple(rising[:up + 1] + falling[down - 1::-1])
-        contexts.append(PathContext(start_token, start_type, path,
-                                    end_token, end_type))
+        if i != last_i or up != last_up:
+            last_i = i
+            last_up = up
+            start_token, start_type, types = end_of(i)
+            rise = "|".join(types[:up + 1])
+        end = falls.get(down * n + j)
+        if end is None:
+            end_token, end_type, types = end_of(j)
+            end = falls[down * n + j] = (end_token, end_type,
+                                         "|" + "|".join(types[down - 1::-1]))
+        end_token, end_type, fall = end
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+        contexts.append(new(PathContext, (start_token, start_type,
+                                          rise + fall, end_token, end_type)))
     return contexts

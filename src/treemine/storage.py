@@ -2,9 +2,12 @@
 
 Two output families: code2seq bag-of-paths lines (untyped or typed) and
 JSONL trees with preorder-numbered node arrays. Formatting is bit-exact:
-the same samples always produce the same bytes. A JSONL line is joined from
-one string per node, escaped by json's own string encoder, so it holds the
-bytes `json.dumps` gives without building a dict per node.
+the same samples always produce the same bytes. A code2seq line is the
+label's subtokens, then each context's strings, which the miner made as the
+line writes them (see `paths.PathContext`): only the label is split here. A
+JSONL line is joined from one string per node, escaped by json's own string
+encoder, so it holds the bytes `json.dumps` gives without building a dict
+per node.
 """
 
 import json
@@ -87,24 +90,18 @@ class RunStatistics:
 
 def format_code2seq(sample: LabeledTree, contexts: list[PathContext],
                     typed: bool) -> str:
+    """The label's subtokens, then one field per context, space-separated.
+
+    Each string of a field was made by the miner as it is written here.
+    """
     label = "|".join(split_subtokens(sample.label))
-    fields = [label]
-    for ctx in contexts:
-        start = "|".join(ctx.start_token)
-        path = "|".join(ctx.path)  # node types hold no comma or whitespace
-        end = "|".join(ctx.end_token)
-        if typed:
-            parts = (start, _sanitize_type(ctx.start_type), path,
-                     end, _sanitize_type(ctx.end_type))
-        else:
-            parts = (start, path, end)
-        fields.append(",".join(parts))
+    if typed:
+        fields = [f"{c.start_token},{c.start_type},{c.path},{c.end_token},"
+                  f"{c.end_type}" for c in contexts]
+    else:
+        fields = [f"{c.start_token},{c.path},{c.end_token}" for c in contexts]
+    fields.insert(0, label)
     return " ".join(fields) + "\n"
-
-
-def _sanitize_type(text: str) -> str:
-    # keep the comma-separated context grammar unambiguous
-    return "".join(text.split()).replace(",", ";")
 
 
 # -- JSONL tree format --------------------------------------------------------

@@ -7,6 +7,11 @@ between the two is meaningful evidence.
 
 The reference sampler derives the seed of a drawn sample with `hashlib`,
 not with the package's own SHA-256.
+
+Each reference context is joined on its own by the rules of a code2seq
+line: subtokens and node types joined by `|`, a type with its whitespace
+removed and `,` written as `;`. The miner makes the same strings its own
+way, once per leaf and per path half.
 """
 
 import hashlib
@@ -73,13 +78,27 @@ def oracle_enumerate(root, max_path_nodes, max_path_width):
             path = ([n.node_type for n in up_a[:lca_pos_a + 1]]
                     + [n.node_type for n in reversed(up_b[:lca_pos_b])])
             out.append(PathContext(
-                start_token=tuple(split_subtokens(a.token or "")),
-                start_type=a.resolved_type or NO_TYPE,
-                path=tuple(path),
-                end_token=tuple(split_subtokens(b.token or "")),
-                end_type=b.resolved_type or NO_TYPE,
+                start_token="|".join(split_subtokens(a.token or "")),
+                start_type=_type_text(a.resolved_type or NO_TYPE),
+                path="|".join(path),
+                end_token="|".join(split_subtokens(b.token or "")),
+                end_type=_type_text(b.resolved_type or NO_TYPE),
             ))
     return out
+
+
+def _type_text(text):
+    # keep the comma-separated context grammar unambiguous
+    return "".join(text.split()).replace(",", ";")
+
+
+def oracle_line(label, contexts, typed):
+    """The code2seq line of a label and reference contexts."""
+    fields = ["|".join(split_subtokens(label))]
+    for ctx in contexts:
+        parts = ctx if typed else (ctx.start_token, ctx.path, ctx.end_token)
+        fields.append(",".join(parts))
+    return " ".join(fields) + "\n"
 
 
 def oracle_picks(n, max_contexts, rng_seed, tree_key):

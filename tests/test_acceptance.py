@@ -280,8 +280,7 @@ def test_criterion_5_label_leak_freedom():
                     problems.append(f"{path.name}: declaration not hidden")
                 joined_label = "|".join(split_subtokens(label))
                 for ctx in enumerate_paths(sample.tree, generous):
-                    for end in ("|".join(ctx.start_token),
-                                "|".join(ctx.end_token)):
+                    for end in (ctx.start_token, ctx.end_token):
                         if end in (label, joined_label):
                             problems.append(
                                 f"{path.name}: context token leaks the label")

@@ -292,6 +292,19 @@ def test_unreadable_config_file_exits_2_without_a_traceback(tmp_path,
     assert line.startswith("configuration error: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_config_file_exits_2_without_a_traceback(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-m", "treemine", "--config", "/dev/zero"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == EXIT_CONFIG
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("configuration error: configuration file is "
+                           "larger than the ")
+
+
 def test_missing_config_flag_exits():
     with pytest.raises(SystemExit):
         main([])

@@ -1,6 +1,10 @@
+import json
+import os
+
 import pytest
 
 from treemine import ConfigError, load_config, validate_config
+from treemine import config as config_module
 from treemine.cst import CstKind
 
 from conftest import base_config, write_config
@@ -343,6 +347,57 @@ def test_load_config_valid_file(tmp_path):
     config = load_config(path)
     assert config.granularity == "method"
     assert config.extractor_name == "method_name"
+
+
+def _count_reads(monkeypatch):
+    """Count the bytes load_config reads; the counter is a one-item list."""
+    read = [0]
+
+    class Counting:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def read(self, size):
+            data = self.handle.read(size)
+            read[0] += len(data)
+            return data
+
+    monkeypatch.setattr(config_module, "open",
+                        lambda *args: Counting(open(*args)), raising=False)
+    return read
+
+
+def test_load_config_file_at_and_over_the_size_bound(tmp_path, monkeypatch):
+    bound = config_module.MAX_CONFIG_BYTES
+    read = _count_reads(monkeypatch)
+    at_bound = tmp_path / "at.json"
+    text = json.dumps(valid())
+    at_bound.write_text(text + " " * (bound - len(text)), encoding="utf-8")
+    assert at_bound.stat().st_size == bound
+    assert load_config(at_bound).granularity == "method"
+    over = tmp_path / "over.json"
+    over.write_text(text + " " * (bound + 1 - len(text)), encoding="utf-8")
+    read[0] = 0
+    with pytest.raises(ConfigError) as info:
+        load_config(over)
+    assert str(info.value) == (f"configuration file is larger than the "
+                               f"{bound}-byte bound")
+    assert read[0] == bound + 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_load_config_reads_an_endless_file_only_to_the_bound(monkeypatch):
+    read = _count_reads(monkeypatch)
+    with pytest.raises(ConfigError) as info:
+        load_config("/dev/zero")
+    assert "larger than the" in str(info.value)
+    assert read[0] == config_module.MAX_CONFIG_BYTES + 1
 
 
 _FILTER_NAMES = ("tree_size, code_lines, abstract_method, override_method, "

@@ -1,7 +1,7 @@
 import pytest
 
 from treemine import split
-from treemine.ast_builder import DEFAULT_IGNORE_NAMES
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES, METHOD_NODE_TYPES
 from treemine.granularity import GRANULARITY_LEVELS
 
 from conftest import CORPUS_DIR, build, find_one
@@ -82,6 +82,23 @@ def test_every_unit_has_a_span(ignore):
             for unit in split(tree, level):
                 assert unit.span is not None, (path.name, level, unit)
                 assert 1 <= unit.span.line_start <= unit.span.line_end
+
+
+@pytest.mark.parametrize("ignore", [
+    frozenset(DEFAULT_IGNORE_NAMES),
+    frozenset(DEFAULT_IGNORE_NAMES) | {"CLASS_DECL"},
+], ids=["default", "splice-classes"])
+def test_method_units_are_those_of_a_full_walk(ignore):
+    # split does not enter a unit; a walk of every node finds no others
+    under_file = 0
+    for path in sorted(CORPUS_DIR.glob("*.java")):
+        tree = build(path.read_text(encoding="utf-8"), ignore)
+        units = split(tree, "method")
+        want = [n for n in tree.preorder() if n.node_type in METHOD_NODE_TYPES]
+        assert [id(u) for u in units] == [id(n) for n in want], path.name
+        under_file += sum(any(u is c for c in tree.children) for u in units)
+    if "CLASS_DECL" in ignore:
+        assert under_file > 50
 
 
 def test_unknown_level_rejected():

@@ -70,10 +70,9 @@ def test_assignment_example():
     contexts = enumerate_paths(tree, WIDE_OPEN)
     assert len(contexts) == 1
     ctx = contexts[0]
-    assert ctx.start_token == ("x",)
-    assert ctx.path == ("IDENTIFIER", "REFERENCE_EXPR", "ASSIGNMENT_EXPR",
-                        "LITERAL")
-    assert ctx.end_token == ("1",)
+    assert ctx.start_token == "x"
+    assert ctx.path == "IDENTIFIER|REFERENCE_EXPR|ASSIGNMENT_EXPR|LITERAL"
+    assert ctx.end_token == "1"
     assert ctx.start_type == NO_TYPE
     assert ctx.end_type == NO_TYPE
 
@@ -110,15 +109,14 @@ def test_path_nodes_filter_on_binary_tree():
 def test_path_shape_on_binary_tree():
     contexts = enumerate_paths(binary_tree(), WIDE_OPEN)
     sibling = contexts[0]  # (a, b)
-    assert sibling.path == ("IDENTIFIER", "CODE_BLOCK", "IDENTIFIER")
+    assert sibling.path == "IDENTIFIER|CODE_BLOCK|IDENTIFIER"
     cross = contexts[1]  # (a, c)
-    assert cross.path == ("IDENTIFIER", "CODE_BLOCK", "FILE", "CODE_BLOCK",
-                          "IDENTIFIER")
+    assert cross.path == "IDENTIFIER|CODE_BLOCK|FILE|CODE_BLOCK|IDENTIFIER"
 
 
 def test_contexts_ordered_by_leaf_indices():
     contexts = enumerate_paths(binary_tree(), WIDE_OPEN)
-    pairs = [(c.start_token[0], c.end_token[0]) for c in contexts]
+    pairs = [(c.start_token, c.end_token) for c in contexts]
     assert pairs == [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
                      ("b", "d"), ("c", "d")]
 
@@ -137,8 +135,8 @@ def test_tokens_are_subtokenized():
                 leaf("IDENTIFIER", "getItemsCount"),
                 leaf("IDENTIFIER", "snake_case"))
     ctx = enumerate_paths(tree, WIDE_OPEN)[0]
-    assert ctx.start_token == ("get", "items", "count")
-    assert ctx.end_token == ("snake", "case")
+    assert ctx.start_token == "get|items|count"
+    assert ctx.end_token == "snake|case"
 
 
 def test_matches_oracle_on_random_trees():
@@ -277,9 +275,10 @@ def else_if_probe(branches):
 
 
 # SHA-256 of the repr lines of sample_contexts(enumerate_paths(...)) for the
-# 1,000-branch probe at limits (60, 30), as the all-pairs miner drew them
-PROBE_60_30 = ("4589870a28f69a349a8068ffe9ce4754"
-               "db34df84020dfa0b137f590c4a161098")
+# 1,000-branch probe at limits (60, 30), as the all-pairs miner drew them,
+# with each context's strings joined as a code2seq line writes them
+PROBE_60_30 = ("28177bd12e02dba8c02519352ff927f1"
+               "4d17d0e486f9beb7ad6b23942a9c9b7f")
 
 
 def test_miner_memory_does_not_grow_with_the_valid_pairs():

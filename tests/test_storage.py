@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,18 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemine import (LabeledTree, MinerLimits, PathContext, RunStatistics,
-                      StorageSpec, annotate_types, enumerate_paths)
+                      StorageSpec, annotate_types, enumerate_paths,
+                      extract_method_name, mine, split)
+from treemine import paths
 from treemine.ast_builder import AstNode
 from treemine.storage import (finalize, format_code2seq, format_jsonl_tree,
                               format_sample)
 
-from conftest import GOLDEN_DIR, build
+from conftest import CORPUS_DIR, GOLDEN_DIR, build, random_ast
+from oracle_paths import oracle_enumerate, oracle_line, oracle_picks
 from oracle_storage import dumps_jsonl_tree
 
 
 def ctx(start, path, end, start_type="NO_TYPE", end_type="NO_TYPE"):
-    return PathContext(start_token=tuple(start), start_type=start_type,
-                       path=tuple(path), end_token=tuple(end),
+    return PathContext(start_token="|".join(start), start_type=start_type,
+                       path="|".join(path), end_token="|".join(end),
                        end_type=end_type)
 
 
@@ -66,14 +70,17 @@ def test_multi_subtoken_endpoints():
 
 
 def test_generic_type_sanitized():
-    contexts = [ctx(["m"], ["IDENTIFIER"], ["n"],
-                    start_type="Map<String, List<Integer>>",
-                    end_type="int[]")]
+    # the miner writes a type as the line holds it
+    tree = AstNode("CODE_BLOCK", children=[
+        AstNode("IDENTIFIER", token="m",
+                resolved_type="Map<String, List<Integer>>"),
+        AstNode("IDENTIFIER", token="n", resolved_type="int[]")])
+    contexts = enumerate_paths(tree, MinerLimits())
     line = format_code2seq(SAMPLE, contexts, typed=True)
     field = line.rstrip("\n").split(" ")[1]
     parts = field.split(",")
-    assert parts == ["m", "Map<String;List<Integer>>", "IDENTIFIER", "n",
-                     "int[]"]
+    assert parts == ["m", "Map<String;List<Integer>>",
+                     "IDENTIFIER|CODE_BLOCK|IDENTIFIER", "n", "int[]"]
 
 
 def test_line_field_grammar():
@@ -96,6 +103,87 @@ def test_operator_suffix_path_labels_pass_through():
     contexts = enumerate_paths(tree, MinerLimits(max_path_nodes=100))
     line = format_code2seq(LabeledTree("f", tree), contexts, typed=False)
     assert "IDENTIFIER|BINARY_EXPR:+|LITERAL" in line
+
+
+# -- the text path: mined contexts to a code2seq line -------------------------
+
+# types a line must rewrite: commas, and whitespace of every kind
+AWKWARD_TYPES = ["Map<String, List<Integer>>", "Map<K,V>", " int ",
+                 "Pair<A,\tB>\n", "int[]", "NO_TYPE", None]
+# tokens that split to "_"
+UNDERSCORE_TOKENS = ["_", "___", "$", ""]
+
+
+def reference_line(sample, limits):
+    """The line of sample, drawn from the reference contexts and joined by
+    the reference's rules."""
+    want = oracle_enumerate(sample.tree, limits.max_path_nodes,
+                            limits.max_path_width)
+    n_leaves = sum(1 for _ in sample.tree.leaves())
+    picks = oracle_picks(len(want), limits.max_contexts, limits.rng_seed,
+                         f"{sample.label}:{n_leaves}")
+    return [oracle_line(sample.label, [want[k] for k in picks], typed)
+            for typed in (False, True)]
+
+
+def mined_line(sample, limits):
+    contexts = mine(sample.tree, limits, sample.label)
+    return [format_sample(sample, contexts, storage_format)
+            for storage_format in ("code2seq", "code2seq_typed")]
+
+
+@pytest.fixture
+def located(monkeypatch):
+    """The number of units whose drawn contexts mine counted, then located."""
+    calls = [0]
+    locate = paths._LeafIndex.locate
+
+    def counting(self, counts, picks):
+        calls[0] += 1
+        return locate(self, counts, picks)
+
+    monkeypatch.setattr(paths._LeafIndex, "locate", counting)
+    return calls
+
+
+def test_code2seq_lines_match_reference_on_random_trees(located):
+    rng = random.Random(25)
+    for case in range(300):
+        tree = random_ast(rng, max_leaves=40)
+        for leaf in tree.leaves():
+            if rng.random() < 0.3:
+                leaf.resolved_type = rng.choice(AWKWARD_TYPES)
+            if rng.random() < 0.1:
+                leaf.token = rng.choice(UNDERSCORE_TOKENS)
+        sample = LabeledTree(rng.choice(["getCount", "_", "NO_LABEL"]), tree)
+        limits = MinerLimits(max_path_nodes=rng.randint(3, 9),
+                             max_path_width=rng.randint(1, 3),
+                             max_contexts=rng.choice([1, 3, 200]),
+                             rng_seed=rng.randint(0, 9))
+        assert mined_line(sample, limits) == reference_line(sample, limits), \
+            case
+    # a unit of more than LIST_FACTOR * max_contexts leaf pairs is counted,
+    # then its drawn pairs located
+    assert located[0] > 30
+
+
+@pytest.mark.parametrize("max_contexts", [200, 2])
+def test_code2seq_lines_match_reference_on_corpus(located, max_contexts):
+    limits = MinerLimits(max_contexts=max_contexts)
+    n_units = 0
+    awkward = False
+    for path in sorted(CORPUS_DIR.glob("*.java")):
+        tree = annotate_types(build(path.read_text(encoding="utf-8")))
+        for unit in split(tree, "method"):
+            sample = extract_method_name(unit)
+            got = mined_line(sample, limits)
+            assert got == reference_line(sample, limits), path.name
+            awkward |= ";" in got[1]
+            n_units += 1
+    assert n_units > 50
+    assert awkward  # some type held a comma
+    if max_contexts == 2:
+        assert located[0] > 10
 
 
 def test_jsonl_single_leaf_exact_bytes():
