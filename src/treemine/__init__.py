@@ -12,17 +12,17 @@ from .paths import (MinerLimits, PathContext, enumerate_paths, mine, sample_cont
 from .pipeline import run
 from .config import PipelineConfig, load_config, validate_config
 from .storage import RunStatistics, StorageSpec
-from .type_resolver import NO_TYPE, Scope, annotate_types, resolve_identifier
+from .type_resolver import NO_TYPE, annotate_types
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AstNode", "ConfigError", "CstKind", "CstNode", "FilterSpec",
     "LabeledTree", "LexError", "MinerLimits", "NO_TYPE",
-    "ParseError", "PathContext", "PipelineConfig", "RunStatistics", "Scope",
+    "ParseError", "PathContext", "PipelineConfig", "RunStatistics",
     "SourceSpan", "StorageSpec", "accept", "annotate_types", "build_ast",
     "count_nodes", "enumerate_paths",
     "extract_method_name", "extract_none", "load_config", "mine", "parse_file",
-    "resolve_identifier", "run", "sample_contexts", "split",
+    "run", "sample_contexts", "split",
     "split_subtokens", "validate_config",
 ]

@@ -3,10 +3,12 @@
 This is the earlier, recursive form of `build_ast` (one `_convert` call per
 CST node, bottom up) and of `annotate_types` (one `_annotate` call per AST
 node). The production code walks the same trees with explicit stacks, so
-agreement on the same inputs checks the order of those walks. The leaf-level
-helpers (scope lookup, literal types) and the `AstNode` declaration
-accessors (`name()`, `declared_type()`) are shared, not copied: they read
-one declaration and walk no tree.
+agreement on the same inputs checks the order of those walks. The reference
+keeps scopes as a chain, each asking its parent for a name it does not bind,
+where `annotate_types` copies a plain dict into each inner scope: agreement
+also checks that the copies answer as the chain does. The literal types and
+the `AstNode` declaration accessors (`name()`, `declared_type()`) are
+shared, not copied: they read one leaf or one declaration and walk no tree.
 
 The method filters' earlier readers are kept as well: they find modifiers
 in both shapes a modifier list can take and search a whole unit for an
@@ -15,8 +17,7 @@ in both shapes a modifier list can take and search a whole unit for an
 
 from treemine.ast_builder import UNIT_KINDS, AstNode
 from treemine.cst import COMMENT_KINDS, TRIVIA_KINDS, CstKind
-from treemine.type_resolver import (NO_TYPE, Scope, _literal_type,
-                                    resolve_identifier)
+from treemine.type_resolver import NO_TYPE, _literal_type
 
 _COLLAPSE_TO_LEAF = (CstKind.MODIFIER, CstKind.TYPE_REF)
 _OPERATOR_SUFFIXED = (CstKind.BINARY_EXPR, CstKind.UNARY_EXPR)
@@ -89,6 +90,20 @@ def _presentable_text(node):
 
 
 # -- annotate_types ----------------------------------------------------------
+
+class Scope:
+    def __init__(self, bindings, parent=None):
+        self.bindings = bindings
+        self.parent = parent
+
+
+def resolve_identifier(name, scope):
+    while scope is not None:
+        if name in scope.bindings:
+            return scope.bindings[name]
+        scope = scope.parent
+    return NO_TYPE
+
 
 def oracle_annotate_types(tree):
     classes = {}

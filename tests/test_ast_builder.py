@@ -46,6 +46,14 @@ SOURCES["Redeclared.java"] = """class Redeclared {
     int use(char value) { value = value(value, size); return size; }
 }
 """
+# a constructor's local hoisted into its class by an ignore list: a method
+# after it sees the local, one before it does not
+SOURCES["Hoisted.java"] = """class Hoisted {
+    void before() { use(x); }
+    Hoisted(int p) { int x = p; }
+    void after(double p) { use(x); use(p); }
+}
+"""
 COMMENTS = ("LINE_COMMENT", "BLOCK_COMMENT")
 IGNORE_LISTS = {
     "default": DEFAULT_IGNORE_NAMES,
@@ -56,6 +64,9 @@ IGNORE_LISTS = {
     "parameter_list": DEFAULT_IGNORE_NAMES + ("PARAMETER_LIST",),
     # methods spliced out: their names and parameters become class children
     "members_hoisted": DEFAULT_IGNORE_NAMES + ("METHOD_DECL", "PARAMETER_LIST"),
+    # constructor bodies spliced out: their locals become class children
+    "constructor_bodies_hoisted": DEFAULT_IGNORE_NAMES + ("CONSTRUCTOR_DECL",
+                                                         "CODE_BLOCK"),
     "paren_expr": DEFAULT_IGNORE_NAMES + ("PAREN_EXPR",),
     "paren_expr_only": ("PAREN_EXPR",),
     "declarations": ("LOCAL_VAR_DECL", "FIELD_DECL", "PARAMETER") + COMMENTS,

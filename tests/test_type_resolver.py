@@ -1,8 +1,8 @@
 import pytest
 
-from treemine import NO_TYPE, Scope, annotate_types, resolve_identifier
+from treemine import NO_TYPE, annotate_types
 
-from conftest import build, find_all, find_one
+from conftest import CORPUS_DIR, build, find_all, find_one
 
 
 def annotated(source):
@@ -188,14 +188,6 @@ def test_for_loop_variable_scoped_to_loop():
     assert all(t == "int" for t in uses)
 
 
-def test_resolve_identifier_walks_scope_chain():
-    outer = Scope({"a": "int"}, None)
-    inner = Scope({"b": "double"}, outer)
-    assert resolve_identifier("a", inner) == "int"
-    assert resolve_identifier("b", inner) == "double"
-    assert resolve_identifier("c", inner) == NO_TYPE
-
-
 def test_no_crosstalk_between_methods():
     source = ("class A { void f() { int local = 1; use(local); } "
               "void g() { use(local); } }")
@@ -203,3 +195,31 @@ def test_no_crosstalk_between_methods():
     methods = find_all(tree, "METHOD_DECL")
     g_use = [l for l in methods[1].leaves() if l.token == "local"]
     assert g_use[0].resolved_type == NO_TYPE
+
+
+def test_local_after_closed_block_is_unbound_inside_it():
+    tree = annotated("class S { void f() { { use(x); } int x = 1; use(x); } }")
+    uses = [l.resolved_type for l in tree.leaves() if l.token == "x"]
+    # use inside the earlier block, local decl name, use after it
+    assert uses == [NO_TYPE, "int", "int"]
+
+
+def test_later_field_seen_in_nested_blocks_and_shadowed_by_parameter():
+    source = ("class S { void f() { { { use(n); } } } "
+              "void g(String n) { { use(n); } } int n; }")
+    tree = annotated(source)
+    f, g = find_all(tree, "METHOD_DECL")
+    assert [l.resolved_type for l in f.leaves() if l.token == "n"] == ["int"]
+    # parameter decl name, use in the nested block
+    assert [l.resolved_type for l in g.leaves() if l.token == "n"] == [
+        "String", "String"]
+    assert lookup(tree, "n", occurrence=3) == "int"
+
+
+def test_second_annotation_changes_no_type():
+    for path in sorted(CORPUS_DIR.glob("*.java")):
+        tree = annotate_types(build(path.read_text(encoding="utf-8")))
+        first = [leaf.resolved_type for leaf in tree.leaves()]
+        assert annotate_types(tree) is tree
+        again = [leaf.resolved_type for leaf in tree.leaves()]
+        assert again == first, path.name
