@@ -3,21 +3,27 @@
 Sets the resolved_type of IDENTIFIER and LITERAL leaves, in place, to a
 resolved type string, or to the NO_TYPE sentinel when resolution fails.
 Resolution is single-file: class members are visible order-independently,
-locals only at and after their declaration, inner bindings shadow outer
-ones. The walk is one loop over an explicit stack, popped in preorder; each
-entry carries its node's scope and the class's method return types.
+parameters and locals only at and after their declaration, inner bindings
+shadow outer ones. One loop over an explicit stack walks in preorder, each
+entry holding its node's scope and the class's method return types.
 
 A scope is a plain dict from name to type. A block, a `for` statement or a
 method or constructor copies the scope it is in when the walk enters it, and
-binds its own names into the copy. The copy answers every lookup as a chain
-of scopes, each asking its parent, would: preorder walks a node's subtree
-whole before its next sibling, and a class binds all its members before any
-member is walked, so a scope gains no binding while a scope copied from it is
-in use. (A local that an ignore list splices into its class binds in the
-class scope when the walk reaches it; the members after it copy that scope
-later, and see it, as a chain would.) Each declaration types its own name
-leaf when it binds the name, through the `AstNode` accessors `name_leaf()`
-and `declared_type()`, and the walk looks up only leaves with no type yet.
+a parameter or local binds its name into the scope the walk is in when the
+walk reaches it. The copy answers every lookup as a chain of scopes, each
+asking its parent, would: preorder walks a node's subtree whole before its
+next sibling, and a class binds all its members before any member is walked,
+so a scope gains no binding while a scope copied from it is in use. Each
+declaration types its own name leaf when it binds the name, through the
+`AstNode` accessors `name_leaf()` and `declared_type()`, and the walk looks
+up only leaves with no type yet.
+
+Types are read from the tree after `ignore_node_kinds` has spliced it, so
+ignoring a kind the walk reads changes them: `TYPE_REF`, the declarations
+(`PARAMETER`, `LOCAL_VAR_DECL`, `FIELD_DECL`; only a `CLASS_DECL` binds
+fields and method return types), `IDENTIFIER`, and the scope and call kinds.
+A spliced method or constructor leaves its parameters and locals to bind in
+its class's scope, seen by the members after it.
 """
 
 from .ast_builder import AstNode
@@ -37,11 +43,8 @@ def annotate_types(tree: AstNode) -> AstNode:
     for child in tree.children:
         if child.node_type == "CLASS_DECL":
             _declare(child, child.name() or NO_TYPE, classes)
-    # the method return types outside any class: always empty
-    outside: dict[str, str] = {}
-    # (node, scope, method return types)
-    stack = [(child, dict(classes), outside)
-             for child in reversed(tree.children)]
+    # (node, scope, method return types); only a class has methods
+    stack = [(child, dict(classes), {}) for child in reversed(tree.children)]
     while stack:
         node, scope, methods = stack.pop()
         node_type = node.node_type
@@ -54,13 +57,8 @@ def annotate_types(tree: AstNode) -> AstNode:
                     node.resolved_type = _literal_type(node.token or "")
             continue
 
-        if node_type == "CODE_BLOCK" or node_type == "FOR_STMT":
-            # a FOR_STMT's loop variable is scoped to the whole statement
-            scope = scope.copy()
-        elif node_type == "LOCAL_VAR_DECL":
-            # visible from the declaration itself onward
-            _declare(node, node.declared_type() or NO_TYPE, scope)
-        elif node_type == "REFERENCE_EXPR" or node_type == "METHOD_CALL":
+        # the most common kinds first
+        if node_type == "REFERENCE_EXPR" or node_type == "METHOD_CALL":
             for i, child in enumerate(children):
                 if not child.children and child.node_type == "IDENTIFIER":
                     if i > 0:
@@ -69,6 +67,13 @@ def annotate_types(tree: AstNode) -> AstNode:
                     elif node_type == "METHOD_CALL":
                         child.resolved_type = methods.get(child.token or "",
                                                           NO_TYPE)
+        elif node_type == "LOCAL_VAR_DECL" or node_type == "PARAMETER":
+            # visible from the declaration itself onward
+            _declare(node, node.declared_type() or NO_TYPE, scope)
+        elif node_type in ("CODE_BLOCK", "FOR_STMT", "METHOD_DECL",
+                           "CONSTRUCTOR_DECL"):
+            # a FOR_STMT's loop variable is scoped to the whole statement
+            scope = scope.copy()
         elif node_type == "CLASS_DECL":
             # a class is only ever a child of the file; its members are bound
             # before any is walked
@@ -81,18 +86,6 @@ def annotate_types(tree: AstNode) -> AstNode:
                     _declare(member, member.declared_type() or NO_TYPE, methods)
                 elif member_type == "CONSTRUCTOR_DECL":
                     _declare(member, node.name() or NO_TYPE, methods)
-        elif methods is not outside and (node_type == "METHOD_DECL"
-                                         or node_type == "CONSTRUCTOR_DECL"):
-            # a class member (with CLASS_DECL ignored, a child of the file,
-            # which binds nothing): its parameters are bound before anything
-            # under it is walked
-            scope = scope.copy()
-            for child in children:
-                if child.node_type == "PARAMETER_LIST":
-                    for param in child.children:
-                        if param.node_type == "PARAMETER":
-                            _declare(param, param.declared_type() or NO_TYPE,
-                                     scope)
         stack.extend([(child, scope, methods) for child in reversed(children)])
     return tree
 
@@ -115,6 +108,11 @@ def _literal_type(text: str) -> str:
         return "boolean"
     if text == "null":
         return NO_TYPE
-    if text and (text[-1] in "fFdD" or any(c in ".eE" for c in text)):
+    suffix = text[-1:].lower()
+    if suffix == "l":
+        return "long"
+    if suffix == "f":
+        return "float"
+    if suffix == "d" or any(c in ".eE" for c in text):
         return "double"
     return "int"

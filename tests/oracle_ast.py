@@ -6,9 +6,14 @@ node). The production code walks the same trees with explicit stacks, so
 agreement on the same inputs checks the order of those walks. The reference
 keeps scopes as a chain, each asking its parent for a name it does not bind,
 where `annotate_types` copies a plain dict into each inner scope: agreement
-also checks that the copies answer as the chain does. The literal types and
-the `AstNode` declaration accessors (`name()`, `declared_type()`) are
-shared, not copied: they read one leaf or one declaration and walk no tree.
+also checks that the copies answer as the chain does. A parameter, like a
+local, binds its name in the scope it is walked in, from its declaration on:
+no member binds its parameters ahead of its walk, so a method or constructor
+that an ignore list splices out leaves parameters that bind in its class's
+scope, and an ignored `PARAMETER_LIST` changes no parameter's type. The
+literal types and the `AstNode` declaration accessors (`name()`,
+`declared_type()`) are shared, not copied: they read one leaf or one
+declaration and walk no tree.
 
 The method filters' earlier readers are kept as well: they find modifiers
 in both shapes a modifier list can take and search a whole unit for an
@@ -142,10 +147,11 @@ def _annotate_class(node, classes):
             child.resolved_type = class_name or NO_TYPE
             named = True
         elif child.node_type == "METHOD_DECL":
-            _annotate_callable(child, scope, methods,
-                               child.declared_type() or NO_TYPE)
+            _annotate_declarator(child, Scope({}, scope), methods,
+                                 child.declared_type() or NO_TYPE)
         elif child.node_type == "CONSTRUCTOR_DECL":
-            _annotate_callable(child, scope, methods, class_name or NO_TYPE)
+            _annotate_declarator(child, Scope({}, scope), methods,
+                                 class_name or NO_TYPE)
         elif child.node_type == "FIELD_DECL":
             _annotate_declarator(child, scope, methods,
                                  child.declared_type() or NO_TYPE)
@@ -153,33 +159,8 @@ def _annotate_class(node, classes):
             _annotate(child, scope, methods)
 
 
-def _annotate_callable(node, class_scope, methods, decl_type):
-    scope = Scope({}, class_scope)
-    for child in node.children:
-        if child.node_type == "PARAMETER_LIST":
-            for param in child.children:
-                if param.node_type == "PARAMETER":
-                    name = param.name()
-                    if name:
-                        scope.bindings[name] = param.declared_type() or NO_TYPE
-    named = False
-    for child in node.children:
-        if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            child.resolved_type = decl_type
-            named = True
-        elif child.node_type == "PARAMETER_LIST":
-            for param in child.children:
-                if param.node_type == "PARAMETER":
-                    _annotate_declarator(param, scope, methods,
-                                         param.declared_type() or NO_TYPE)
-                else:
-                    _annotate(param, scope, methods)
-        else:
-            _annotate(child, scope, methods)
-
-
 def _annotate_declarator(node, scope, methods, decl_type):
-    # fields, parameters and locals: the declared-name leaf gets the
+    # members, parameters and locals: the declared-name leaf gets the
     # declared type; the rest of the subtree resolves normally
     named = False
     for child in node.children:
@@ -202,7 +183,7 @@ def _annotate(node, scope, methods):
     if base == "CODE_BLOCK" or base == "FOR_STMT":
         # a FOR_STMT's loop variable is scoped to the whole statement
         scope = Scope({}, scope)
-    elif base == "LOCAL_VAR_DECL":
+    elif base == "LOCAL_VAR_DECL" or base == "PARAMETER":
         decl_type = node.declared_type() or NO_TYPE
         name = node.name()
         if name:

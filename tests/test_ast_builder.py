@@ -294,8 +294,17 @@ ABSTRACT = FilterSpec("abstract_method")
 OVERRIDE = FilterSpec("override_method")
 
 
+def _parameter_types(tree):
+    """(name, type) of each PARAMETER's name leaf, in preorder."""
+    leaves = [node.name_leaf() for node in tree.preorder()
+              if node.node_type == "PARAMETER"]
+    return [(leaf.token, leaf.resolved_type) for leaf in leaves
+            if leaf is not None]
+
+
 def _assert_matches_recursive_reference(names):
     ignore = frozenset(names)
+    spliced = ignore | {"PARAMETER_LIST"}
     for name in SOURCES:
         # from the CST, and from tokens and markers as the pipeline builds
         for built in (build_ast(_cst(name), ignore),
@@ -311,6 +320,9 @@ def _assert_matches_recursive_reference(names):
                     unit), name
                 assert accept(unit, None, OVERRIDE) != \
                     oracle_has_override_annotation(unit), name
+        # splicing the parameter lists out changes no parameter's type
+        assert _parameter_types(built) == _parameter_types(annotate_types(
+            build_from_markers(*_markers(name), spliced))), name
 
 
 @pytest.mark.parametrize("names", IGNORE_LISTS.values(), ids=IGNORE_LISTS)

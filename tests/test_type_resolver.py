@@ -1,12 +1,15 @@
 import pytest
 
 from treemine import NO_TYPE, annotate_types
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES
 
 from conftest import CORPUS_DIR, build, find_all, find_one
 
 
-def annotated(source):
-    return annotate_types(build(source))
+def annotated(source, *ignored):
+    """Annotate `source` built with the default ignores plus `ignored`."""
+    return annotate_types(build(source, frozenset(DEFAULT_IGNORE_NAMES
+                                                  + ignored)))
 
 
 def typed_leaves(tree):
@@ -37,9 +40,12 @@ def test_annotate_sets_types_in_place():
     ("false", "boolean"),
     ("null", NO_TYPE),
     ("42", "int"),
-    ("10L", "int"),
+    ("10L", "long"),
+    ("7l", "long"),
     ("1.5", "double"),
-    ("0.25f", "double"),
+    ("0.25f", "float"),
+    ("1.5F", "float"),
+    ("1e10f", "float"),
     ("7d", "double"),
     ("1e10", "double"),
 ])
@@ -214,6 +220,33 @@ def test_later_field_seen_in_nested_blocks_and_shadowed_by_parameter():
     assert [l.resolved_type for l in g.leaves() if l.token == "n"] == [
         "String", "String"]
     assert lookup(tree, "n", occurrence=3) == "int"
+
+
+def test_parameters_bind_in_the_method_under_a_spliced_list_or_class():
+    source = "class A { int n; int f(int p) { return p + n; } }"
+    spliced = annotated(source, "PARAMETER_LIST")
+    # parameter decl name, use in the body
+    assert [l.resolved_type for l in spliced.leaves() if l.token == "p"] == [
+        "int", "int"]
+    assert lookup(spliced, "n", occurrence=1) == "int"
+    classless = annotated(source, "CLASS_DECL")
+    assert [l.resolved_type for l in classless.leaves() if l.token == "p"] == [
+        "int", "int"]
+    # only a class binds its name, fields and method return types
+    for name in ("A", "n", "f"):
+        assert lookup(classless, name) == NO_TYPE
+
+
+def test_parameter_visible_from_its_declaration_on():
+    tree = annotated("class A { p f(int p) { return p; } }")
+    # return type, parameter decl name, use in the body
+    assert [l.resolved_type for l in tree.leaves() if l.token == "p"] == [
+        NO_TYPE, "int", "int"]
+    tree = annotated("class A { void g(a b, int a) { } }")
+    # first parameter's type, second parameter's decl name
+    assert [l.resolved_type for l in tree.leaves() if l.token == "a"] == [
+        NO_TYPE, "int"]
+    assert lookup(tree, "b") == "a"
 
 
 def test_second_annotation_changes_no_type():
