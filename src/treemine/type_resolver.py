@@ -2,28 +2,28 @@
 
 Sets the resolved_type of IDENTIFIER and LITERAL leaves, in place, to a
 resolved type string, or to the NO_TYPE sentinel when resolution fails.
-Resolution is single-file: class members are visible order-independently,
-parameters and locals only at and after their declaration, inner bindings
-shadow outer ones. One loop over an explicit stack walks in preorder, each
-entry holding its node's scope and the class's method return types.
+Resolution is single-file: the file's classes and a class's members are
+visible order-independently, parameters and locals only at and after their
+declaration, inner bindings shadow outer ones. One loop over an explicit stack
+walks in preorder.
 
-A scope is a plain dict from name to type. A block, a `for` statement or a
-method or constructor copies the scope it is in when the walk enters it, and
-a parameter or local binds its name into the scope the walk is in when the
-walk reaches it. The copy answers every lookup as a chain of scopes, each
-asking its parent, would: preorder walks a node's subtree whole before its
-next sibling, and a class binds all its members before any member is walked,
-so a scope gains no binding while a scope copied from it is in use. Each
-declaration types its own name leaf when it binds the name, through the
-`AstNode` accessors `name_leaf()` and `declared_type()`, and the walk looks
-up only leaves with no type yet.
+A scope is a plain dict from name to type. The file, a class, a block, a `for`
+statement or a method or constructor copies the scope it is in when the walk
+enters it, and a parameter or local binds its name into the scope the walk is
+in when the walk reaches it. The file and a class bind all their members
+before any is walked: a class or field into the scope, a method into a fresh
+table of return types, and a constructor there typed by its own name, which
+the parser accepts only as its class's. The copy answers every lookup as a
+chain of scopes would: the walk finishes a node's subtree before its next
+sibling, so a scope gains no binding while a copy of it is in use. Each
+declaration types its own name leaf as it binds the name, through the AstNode
+accessors `name_leaf()` and `declared_type()`; the walk looks up the rest.
 
 Types are read from the tree after `ignore_node_kinds` has spliced it, so
-ignoring a kind the walk reads changes them: `TYPE_REF`, the declarations
-(`PARAMETER`, `LOCAL_VAR_DECL`, `FIELD_DECL`; only a `CLASS_DECL` binds
-fields and method return types), `IDENTIFIER`, and the scope and call kinds.
-A spliced method or constructor leaves its parameters and locals to bind in
-its class's scope, seen by the members after it.
+ignoring a kind the walk reads changes them: `TYPE_REF`, the declarations,
+`IDENTIFIER`, and the scope and call kinds. With `CLASS_DECL` ignored a class's
+members bind in the file and only the class name is unbound. A declaration
+spliced up to the class or file binds there, seen by the children after it.
 """
 
 from .ast_builder import AstNode
@@ -39,12 +39,8 @@ def annotate_types(tree: AstNode) -> AstNode:
     ast_builder.build) has just built for this file, which nothing else
     holds. Never fails: anything unresolvable gets NO_TYPE.
     """
-    classes: dict[str, str] = {}
-    for child in tree.children:
-        if child.node_type == "CLASS_DECL":
-            _declare(child, child.name() or NO_TYPE, classes)
-    # (node, scope, method return types); only a class has methods
-    stack = [(child, dict(classes), {}) for child in reversed(tree.children)]
+    # (node, scope, method return types of the file or class it is in)
+    stack = [(tree, {}, {})]
     while stack:
         node, scope, methods = stack.pop()
         node_type = node.node_type
@@ -74,9 +70,10 @@ def annotate_types(tree: AstNode) -> AstNode:
                            "CONSTRUCTOR_DECL"):
             # a FOR_STMT's loop variable is scoped to the whole statement
             scope = scope.copy()
-        elif node_type == "CLASS_DECL":
-            # a class is only ever a child of the file; its members are bound
-            # before any is walked
+        elif node_type == "CLASS_DECL" or node_type == "FILE":
+            # a class is only ever a child of the file; the members of either
+            # are bound before any is walked
+            scope = scope.copy()
             methods = {}
             for member in children:
                 member_type = member.node_type
@@ -85,7 +82,9 @@ def annotate_types(tree: AstNode) -> AstNode:
                 elif member_type == "METHOD_DECL":
                     _declare(member, member.declared_type() or NO_TYPE, methods)
                 elif member_type == "CONSTRUCTOR_DECL":
-                    _declare(member, node.name() or NO_TYPE, methods)
+                    _declare(member, member.name() or NO_TYPE, methods)
+                elif member_type == "CLASS_DECL":
+                    _declare(member, member.name() or NO_TYPE, scope)
         stack.extend([(child, scope, methods) for child in reversed(children)])
     return tree
 

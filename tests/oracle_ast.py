@@ -6,12 +6,15 @@ node). The production code walks the same trees with explicit stacks, so
 agreement on the same inputs checks the order of those walks. The reference
 keeps scopes as a chain, each asking its parent for a name it does not bind,
 where `annotate_types` copies a plain dict into each inner scope: agreement
-also checks that the copies answer as the chain does. A parameter, like a
-local, binds its name in the scope it is walked in, from its declaration on:
-no member binds its parameters ahead of its walk, so a method or constructor
-that an ignore list splices out leaves parameters that bind in its class's
-scope, and an ignored `PARAMETER_LIST` changes no parameter's type. The
-literal types and the `AstNode` declaration accessors (`name()`,
+also checks that the copies answer as the chain does. The file and a class
+are one kind of holder: each binds its classes, fields, methods and
+constructors before any is walked, a constructor typed by its own name, so with
+`CLASS_DECL` ignored a class's members bind in the file and only its name is
+unbound. A parameter, like a local, binds its name in the scope it is walked
+in, from its declaration on, and the file's children share one scope: a
+declaration an ignore list splices up to the class or file is seen by the
+children after it, and an ignored `PARAMETER_LIST` changes no parameter's type.
+The literal types and the `AstNode` declaration accessors (`name()`,
 `declared_type()`) are shared, not copied: they read one leaf or one
 declaration and walk no tree.
 
@@ -111,23 +114,14 @@ def resolve_identifier(name, scope):
 
 
 def oracle_annotate_types(tree):
-    classes = {}
-    for child in tree.children:
-        if child.node_type == "CLASS_DECL":
-            name = child.name()
-            if name:
-                classes[name] = name
-    for child in tree.children:
-        if child.node_type == "CLASS_DECL":
-            _annotate_class(child, classes)
-        else:
-            _annotate(child, Scope(dict(classes)), {})
+    _annotate_holder(tree, None)
     return tree
 
 
-def _annotate_class(node, classes):
-    class_name = node.name()
-    bindings = dict(classes)
+def _annotate_holder(node, parent):
+    # the file or a class (only ever a child of the file): every member binds
+    # before any is walked, and a class's first name leaf is its own name
+    bindings = {}
     methods = {}
     for member in node.children:
         name = member.name()
@@ -138,20 +132,24 @@ def _annotate_class(node, classes):
         elif member.node_type == "METHOD_DECL":
             methods[name] = member.declared_type() or NO_TYPE
         elif member.node_type == "CONSTRUCTOR_DECL":
-            methods[name] = class_name or NO_TYPE
-    scope = Scope(bindings)
+            methods[name] = name
+        elif member.node_type == "CLASS_DECL":
+            bindings[name] = name
+    scope = Scope(bindings, parent)
 
-    named = False
+    named = node.node_type != "CLASS_DECL"
     for child in node.children:
         if not named and child.is_leaf() and child.node_type == "IDENTIFIER":
-            child.resolved_type = class_name or NO_TYPE
+            child.resolved_type = child.token or NO_TYPE
             named = True
+        elif child.node_type == "CLASS_DECL":
+            _annotate_holder(child, scope)
         elif child.node_type == "METHOD_DECL":
             _annotate_declarator(child, Scope({}, scope), methods,
                                  child.declared_type() or NO_TYPE)
         elif child.node_type == "CONSTRUCTOR_DECL":
             _annotate_declarator(child, Scope({}, scope), methods,
-                                 class_name or NO_TYPE)
+                                 child.name() or NO_TYPE)
         elif child.node_type == "FIELD_DECL":
             _annotate_declarator(child, scope, methods,
                                  child.declared_type() or NO_TYPE)

@@ -64,6 +64,10 @@ IGNORE_LISTS = {
     "parameter_list": DEFAULT_IGNORE_NAMES + ("PARAMETER_LIST",),
     # methods spliced out: their names and parameters become class children
     "members_hoisted": DEFAULT_IGNORE_NAMES + ("METHOD_DECL", "PARAMETER_LIST"),
+    # classes and members spliced out: parameters become file children
+    "members_in_file": DEFAULT_IGNORE_NAMES + ("CLASS_DECL", "METHOD_DECL",
+                                              "CONSTRUCTOR_DECL",
+                                              "PARAMETER_LIST"),
     # constructor bodies spliced out: their locals become class children
     "constructor_bodies_hoisted": DEFAULT_IGNORE_NAMES + ("CONSTRUCTOR_DECL",
                                                          "CODE_BLOCK"),

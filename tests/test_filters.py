@@ -1,4 +1,6 @@
-from treemine import FilterSpec, accept, count_nodes, split
+import pytest
+
+from treemine import ConfigError, FilterSpec, accept, count_nodes, split
 from treemine.ast_builder import DEFAULT_IGNORE_NAMES
 
 from conftest import build
@@ -74,6 +76,13 @@ def test_constructor_filter():
     ctor, method = units
     assert not accept(ctor, ctor.span, FilterSpec("constructor"))
     assert accept(method, method.span, FilterSpec("constructor"))
+
+
+def test_unknown_filter_is_config_error():
+    unit = method_unit(SMALL)
+    with pytest.raises(ConfigError) as info:
+        accept(unit, unit.span, FilterSpec("nope"))
+    assert str(info.value) == "unknown filter: 'nope'"
 
 
 def test_tree_size_works_at_any_granularity():

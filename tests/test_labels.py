@@ -2,6 +2,7 @@ import pytest
 
 from treemine import (ConfigError, annotate_types, extract_method_name,
                       extract_none, split)
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES
 from treemine.labels import NO_LABEL
 
 from conftest import build, find_all
@@ -127,6 +128,14 @@ def test_rejects_non_method_tree():
     assert "method" in str(info.value)
     with pytest.raises(ConfigError):
         extract_method_name(tree.children[0])
+
+
+def test_rejects_method_without_name_leaf():
+    ignore = frozenset(DEFAULT_IGNORE_NAMES + ("IDENTIFIER",))
+    unit, = split(build("class A { void f() { } }", ignore), "method")
+    with pytest.raises(ConfigError) as info:
+        extract_method_name(unit)
+    assert str(info.value) == "method tree has no declaration name leaf"
 
 
 def test_masking_is_deep():

@@ -358,7 +358,11 @@ def test_parse_error_at_eof():
             ("class A {\n  int x;\n", (3, 1), "'}'"),
             ("class A { // c\n\n", (3, 1), "'}'"),
             ("package a.b", (1, 12), "';'"),
-            ("class A { void m() {", (1, 21), "'}'")]:
+            ("class A { void m() {", (1, 21), "'}'"),
+            ("class A { void f() { if (x)", (1, 28), "statement"),
+            ("class A { void f() { while (x)", (1, 31), "statement"),
+            ("class A { void f() { for (;;)", (1, 30), "statement"),
+            ("class A { void f() { if (x) {} else", (1, 36), "statement")]:
         with pytest.raises(ParseError) as info:
             parse_file(source)
         assert info.value.found == "end of file"

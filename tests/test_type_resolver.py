@@ -173,6 +173,12 @@ def test_constructor_name_gets_class_type():
     values = [l.resolved_type for l in tree.leaves() if l.token == "P"]
     # class decl name, constructor decl name, unqualified call
     assert values == ["P", "P", "P"]
+    # a constructor's first name leaf is typed by its own token: with the
+    # annotation spliced in, that is the annotation's name
+    tree = annotated("class P { @Deprecated P() { } }", "MODIFIER_LIST",
+                     "ANNOTATION")
+    assert typed_leaves(tree)[1:] == [("Deprecated", "Deprecated"),
+                                      ("P", "P")]
 
 
 def test_parameter_decl_name_gets_declared_type():
@@ -201,6 +207,10 @@ def test_no_crosstalk_between_methods():
     methods = find_all(tree, "METHOD_DECL")
     g_use = [l for l in methods[1].leaves() if l.token == "local"]
     assert g_use[0].resolved_type == NO_TYPE
+    # nor between classes: a field binds in its own class only
+    tree = annotated("class A { int x; } class B { int f() { return x; } }")
+    assert [l.resolved_type for l in tree.leaves() if l.token == "x"] == [
+        "int", NO_TYPE]
 
 
 def test_local_after_closed_block_is_unbound_inside_it():
@@ -232,9 +242,22 @@ def test_parameters_bind_in_the_method_under_a_spliced_list_or_class():
     classless = annotated(source, "CLASS_DECL")
     assert [l.resolved_type for l in classless.leaves() if l.token == "p"] == [
         "int", "int"]
-    # only a class binds its name, fields and method return types
-    for name in ("A", "n", "f"):
-        assert lookup(classless, name) == NO_TYPE
+    # the class's members bind in the file; only the class name is unbound
+    assert lookup(classless, "A") == NO_TYPE
+    for name in ("n", "f"):
+        assert lookup(classless, name) == "int"
+    assert lookup(classless, "n", occurrence=1) == "int"
+
+
+def test_file_children_share_one_scope():
+    source = "class A { void g(int a, a b) { use(a); } }"
+    spliced = annotated(source, "CLASS_DECL", "METHOD_DECL")
+    # parameter decl name, second parameter's type, use in the body
+    assert [l.resolved_type for l in spliced.leaves() if l.token == "a"] == [
+        "int", "int", "int"]
+    # each parameter is its own child of the file
+    spliced = annotated(source, "CLASS_DECL", "METHOD_DECL", "PARAMETER_LIST")
+    assert lookup(spliced, "a", occurrence=1) == "int"
 
 
 def test_parameter_visible_from_its_declaration_on():
