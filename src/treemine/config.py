@@ -34,8 +34,8 @@ _MINER_MINIMUMS = {"max_path_nodes": 1, "max_path_width": 0,
                    "max_contexts": 1, "rng_seed": None}
 
 # (feature, ignored kinds, problem): ignoring all the kinds defeats the
-# granularity, label extractor or filter; method_name takes a method's first
-# IDENTIFIER child
+# granularity, label extractor, filter or typed storage format; method_name
+# and the type walk take a declaration's first IDENTIFIER child as its name
 _IGNORE_CONFLICTS = (
     ("granularity class", {CstKind.CLASS_DECL},
      "ignoring CLASS_DECL leaves no class units"),
@@ -54,6 +54,12 @@ _IGNORE_CONFLICTS = (
      "ignoring IDENTIFIER keeps every @Override method"),
     ("filter abstract_method", {CstKind.CODE_BLOCK},
      "ignoring CODE_BLOCK rejects every method as abstract"),
+    ("storage code2seq_typed", {CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
+     "ignoring MODIFIER_LIST and ANNOTATION can type a declaration's "
+     "annotation in place of its name"),
+    ("storage jsonl_trees", {CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
+     "ignoring MODIFIER_LIST and ANNOTATION can type a declaration's "
+     "annotation in place of its name"),
 )
 
 
@@ -171,7 +177,8 @@ def validate_config(raw) -> PipelineConfig:
                         "granularity \"method\"")
     features = {"granularity " + granularity,
                 "label_extractor " + extractor["extractor_name"],
-                *("filter " + spec.name for spec in filters)}
+                *("filter " + spec.name for spec in filters),
+                "storage " + storage_format}
     problems.extend(f"{feature}: {problem}"
                     for feature, kinds, problem in _IGNORE_CONFLICTS
                     if feature in features and kinds <= ignore)

@@ -22,14 +22,15 @@ the writer only joins it. A leaf's token, type and chain node types are made
 once per unit, the first time the leaf ends a kept context, and each half of
 a path once per leaf and height; nothing is kept from one unit to the next.
 
-The seed of each drawn sample is the SHA-256 of a short key, computed here
-rather than with `hashlib`, which maps OpenSSL's libcrypto, about 3.6 MB of
-resident memory, into every process that imports it.
+The seed of each drawn sample is the SHA-256 of a short key, from CPython's
+own C module (`_sha2`, or `_sha256` before 3.12), imported by the first draw,
+and not from `hashlib`, which maps OpenSSL's libcrypto, about 3.6 MB of
+resident memory, into every process that imports it; `hashlib` serves only
+an interpreter without that module, as `random` falls back for its own seed.
 """
 
 import random
 import re
-import struct
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -70,6 +71,11 @@ def split_subtokens(token: str) -> list[str]:
     Characters outside letters and digits are removed. A token with nothing
     left yields the singleton ["_"].
     """
+    if token.isascii() and token.isalnum():
+        # no underscore and nothing to remove
+        if token.islower():
+            return [token]
+        return [piece.lower() for piece in _CAMEL_BOUNDARY.split(token)]
     parts = []
     for chunk in token.split("_"):
         for piece in _CAMEL_BOUNDARY.split(chunk):
@@ -130,70 +136,29 @@ def _picks(n: int, limits: MinerLimits, tree_key: str) -> range | list[int]:
     """Indices, ascending, of the max_contexts of n contexts that are kept."""
     if n <= limits.max_contexts:
         return range(n)
-    digest = _sha256(f"{limits.rng_seed}:{tree_key}".encode("utf-8"))
+    key = f"{limits.rng_seed}:{tree_key}".encode("utf-8")
+    digest = (_sha256 or _load_sha256())(key).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     return sorted(rng.sample(range(n), limits.max_contexts))
 
 
-# FIPS 180-4: the first 32 bits of the fractional parts of the cube roots of
-# the first 64 primes, and of the square roots of the first 8
-_K = (
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1,
-    0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
-    0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174, 0xE49B69C1, 0xEFBE4786,
-    0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
-    0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
-    0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85, 0xA2BFE8A1, 0xA81A664B,
-    0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A,
-    0x5B9CCA4F, 0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2)
-_H = (0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-      0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19)
+# the SHA-256 constructor that seeds the draws, set by the first draw
+_sha256 = None
 
 
-def _sha256(data: bytes) -> bytes:
-    """The SHA-256 digest of `data` (FIPS 180-4).
-
-    Words are below 2**32. `x * 0x100000001` holds two copies of the word
-    x side by side, so its low 32 bits shifted right by n are x rotated
-    right by n. Bits above bit 31 do not change the low 32 bits of a sum,
-    so a word is masked only once it is stored.
-    """
-    size = len(data)
-    data += (b"\x80" + bytes(-(size + 9) % 64)
-             + (8 * size).to_bytes(8, "big"))
-    state = _H
-    for offset in range(0, len(data), 64):
-        w = list(struct.unpack_from(">16I", data, offset))
-        for t in range(16, 64):
-            x = w[t - 15]
-            y = w[t - 2]
-            xx = x * 0x100000001
-            yy = y * 0x100000001
-            w.append((w[t - 16] + w[t - 7] + (xx >> 7 ^ xx >> 18 ^ x >> 3)
-                      + (yy >> 17 ^ yy >> 19 ^ y >> 10)) & 0xFFFFFFFF)
-        a, b, c, d, e, f, g, h = state
-        # Ch(e, f, g) is g ^ e & (f ^ g) and Maj(a, b, c) is
-        # a & b | c & (a | b), each an operation shorter than in FIPS 180-4
-        for k, x in zip(_K, w):
-            ee = e * 0x100000001
-            aa = a * 0x100000001
-            t1 = (h + x + k + (g ^ e & (f ^ g))
-                  + (ee >> 6 ^ ee >> 11 ^ ee >> 25))
-            t2 = (a & b | c & (a | b)) + (aa >> 2 ^ aa >> 13 ^ aa >> 22)
-            h = g
-            g = f
-            f = e
-            e = (d + t1) & 0xFFFFFFFF
-            d = c
-            c = b
-            b = a
-            a = (t1 + t2) & 0xFFFFFFFF
-        state = [(s + v) & 0xFFFFFFFF
-                 for s, v in zip(state, (a, b, c, d, e, f, g, h))]
-    return struct.pack(">8I", *state)
+def _load_sha256():
+    """CPython's C SHA-256, or `hashlib`'s where the interpreter lacks it."""
+    global _sha256
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            # as random.py falls back for its own seed
+            from hashlib import sha256
+    _sha256 = sha256
+    return sha256
 
 
 class _LeafIndex:
@@ -301,25 +266,33 @@ def _build(chains: list[list[AstNode]], pairs: list[Pair]) -> list[PathContext]:
     """One context per pair, each of its strings made at most once.
 
     A leaf's token, type and chain node types are made the first time the
-    leaf ends a context. The path's rising half, the start leaf up to the
-    common ancestor, is joined once per (leaf, height): pairs come grouped
-    by start leaf and height, so it is the last one joined or a new one.
-    The falling half, below the ancestor down to the end leaf, is kept by
-    (leaf, height), so a context costs one concatenation. Nothing outlives
-    the call.
+    leaf ends a context, and the written text of each distinct token and
+    type once. The path's rising half, the start leaf up to the common
+    ancestor, is joined once per (leaf, height): pairs come grouped by start
+    leaf and height, so it is the last one joined or a new one. The falling
+    half, below the ancestor down to the end leaf, is kept by (leaf,
+    height), so a context costs one concatenation. Nothing outlives the
+    call.
     """
     ends: dict[int, tuple[str, str, list[str]]] = {}
+    # the written text by token, and by resolved type
+    token_texts: dict[str | None, str] = {}
+    type_texts: dict[str | None, str] = {}
 
     def end_of(k: int) -> tuple[str, str, list[str]]:
         end = ends.get(k)
         if end is None:
             chain = chains[k]
             leaf = chain[0]
-            end = ends[k] = (
-                "|".join(split_subtokens(leaf.token or "")),
-                "".join((leaf.resolved_type or NO_TYPE).split())
-                .replace(",", ";"),
-                [node.node_type for node in chain])
+            token = token_texts.get(leaf.token)
+            if token is None:
+                token = token_texts[leaf.token] = "|".join(
+                    split_subtokens(leaf.token or ""))
+            type_ = type_texts.get(leaf.resolved_type)
+            if type_ is None:
+                type_ = type_texts[leaf.resolved_type] = "".join(
+                    (leaf.resolved_type or NO_TYPE).split()).replace(",", ";")
+            end = ends[k] = (token, type_, [node.node_type for node in chain])
         return end
 
     # keyed by down * n + j, one key per (leaf, height) as 1 <= down and

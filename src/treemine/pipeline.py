@@ -3,7 +3,10 @@
 Discovers inputs split by split, processes one project at a time (first-level
 subdirectories, plus loose files under the split root), and runs the full
 stage chain per file on the calling thread, in discovery order, so output is
-the same at any `parallelism`, which starts no worker. A file's source text,
+the same at any `parallelism`, which starts no worker. The chain is read,
+scan, parse, build, split, filter, type, label, mine and format: types are
+given only to the units that every filter keeps, and only for the formats
+that write them. A file's source text,
 its token arrays (kinds and texts, with no line per token) and its flat
 marker list are freed once its tree is built, so the later stages run beside
 one file's tree and lines, and a file larger than `MAX_FILE_BYTES` is
@@ -135,16 +138,20 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
     # the tree holds all that the later stages read: free the source and the
     # front end's arrays before they run
     del text, tokens, markers
-    if config.storage_format != "code2seq":
-        # plain code2seq lines carry no types, and no stage reads them
-        annotate_types(tree)
-    units = []
-    for unit in split_units(tree, config.granularity):
-        # a unit counts against the first filter that rejects it only
-        rejected_by = next((spec.name for spec in config.filters
-                            if not accept(unit, unit.span, spec)), None)
-        if rejected_by is not None:
-            units.append(UnitResult(rejected_by, 0, None))
+    units = split_units(tree, config.granularity)
+    # a unit counts against the first filter that rejects it only
+    rejected_by = [next((spec.name for spec in config.filters
+                         if not accept(unit, unit.span, spec)), None)
+                   for unit in units]
+    rejected = {id(unit) for unit, name in zip(units, rejected_by) if name}
+    if config.storage_format != "code2seq" and len(rejected) < len(units):
+        # plain code2seq lines carry no types, and no output holds a
+        # rejected unit
+        annotate_types(tree, rejected)
+    results = []
+    for unit, name in zip(units, rejected_by):
+        if name:
+            results.append(UnitResult(name, 0, None))
             continue
         if config.extractor_name == "method_name":
             sample = extract_method_name(unit, config.name_token,
@@ -156,8 +163,8 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
         else:
             contexts = mine(sample.tree, config.miner, sample.label)
         line = format_sample(sample, contexts, config.storage_format)
-        units.append(UnitResult(None, len(contexts), line))
-    return FileResult(relpath, None, units)
+        results.append(UnitResult(None, len(contexts), line))
+    return FileResult(relpath, None, results)
 
 
 def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatistics:

@@ -5,7 +5,7 @@ resolved type string, or to the NO_TYPE sentinel when resolution fails.
 Resolution is single-file: the file's classes and a class's members are
 visible order-independently, parameters and locals only at and after their
 declaration, inner bindings shadow outer ones. One loop over an explicit stack
-walks in preorder.
+walks in preorder, and does not enter the member units it is told to skip.
 
 A scope is a plain dict from name to type. The file, a class, a block, a `for`
 statement or a method or constructor copies the scope it is in when the walk
@@ -31,13 +31,19 @@ from .ast_builder import AstNode
 NO_TYPE = "NO_TYPE"
 
 
-def annotate_types(tree: AstNode) -> AstNode:
+def annotate_types(tree: AstNode,
+                   skip: set[int] | frozenset[int] = frozenset()) -> AstNode:
     """Fill in resolved_type across a FILE-rooted AST, in place.
 
     Returns `tree` itself. The tree is changed, not copied, and a leaf that
     already has a type keeps it: pass the AST that build_ast (or
     ast_builder.build) has just built for this file, which nothing else
     holds. Never fails: anything unresolvable gets NO_TYPE.
+
+    `skip` holds the `id()` of member units (classes, methods,
+    constructors) whose subtrees are left untyped, as no output holds them.
+    Their holder still binds them, so every other leaf gets the type that a
+    walk of the whole tree gives it.
     """
     # (node, scope, method return types of the file or class it is in)
     stack = [(tree, {}, {})]
@@ -85,6 +91,9 @@ def annotate_types(tree: AstNode) -> AstNode:
                     _declare(member, member.name() or NO_TYPE, methods)
                 elif member_type == "CLASS_DECL":
                     _declare(member, member.name() or NO_TYPE, scope)
+            if skip:
+                children = [child for child in children
+                            if id(child) not in skip]
         stack.extend([(child, scope, methods) for child in reversed(children)])
     return tree
 

@@ -6,7 +6,7 @@ leaf with the leaves under its ancestors' later children), so agreement
 between the two is meaningful evidence.
 
 The reference sampler derives the seed of a drawn sample with `hashlib`,
-not with the package's own SHA-256.
+not with the C SHA-256 module that the package imports.
 
 Each reference context is joined on its own by the rules of a code2seq
 line: subtokens and node types joined by `|`, a type with its whitespace

@@ -340,6 +340,47 @@ def test_matches_recursive_reference_on_drawn_ignore_lists(names):
     _assert_matches_recursive_reference(sorted(names))
 
 
+def _assert_kept_units_typed_as_whole(names):
+    """With every other unit skipped, starting at the first or the second,
+    each leaf of a kept unit gets the type that the whole walk gives it.
+    Returns how many units were skipped, and how many of their leaves that
+    the whole walk types were left untyped."""
+    ignore = frozenset(names)
+    skipped = untyped = 0
+    for name in SOURCES:
+        whole = annotate_types(build_from_markers(*_markers(name), ignore))
+        for level in ("file", "class", "method"):
+            want = [[leaf.resolved_type for leaf in unit.leaves()]
+                    for unit in split(whole, level)]
+            for first in (0, 1):
+                tree = build_from_markers(*_markers(name), ignore)
+                units = split(tree, level)
+                skip = {id(unit) for unit in units[first::2]}
+                assert annotate_types(tree, skip) is tree
+                for unit, types in zip(units, want):
+                    got = [leaf.resolved_type for leaf in unit.leaves()]
+                    if id(unit) not in skip:
+                        assert got == types, (name, level)
+                    elif unit is not tree:
+                        skipped += 1
+                        untyped += sum(g is None and w is not None
+                                       for g, w in zip(got, types))
+    return skipped, untyped
+
+
+@pytest.mark.parametrize("names", IGNORE_LISTS.values(), ids=IGNORE_LISTS)
+def test_kept_units_are_typed_as_the_whole_walk_types_them(names):
+    skipped, untyped = _assert_kept_units_typed_as_whole(names)
+    # the walk did not enter the skipped units, or there were none
+    assert untyped > 0 or skipped == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sets(st.sampled_from(sorted(CST_KIND_NAMES))))
+def test_kept_units_are_typed_as_whole_on_drawn_ignore_lists(names):
+    _assert_kept_units_typed_as_whole(sorted(names))
+
+
 # one kind name, with an operator suffix on BINARY_EXPR and UNARY_EXPR: no
 # comma or whitespace, so code2seq lines join node types as they are
 NODE_TYPE = re.compile(r"[A-Z_]+(:[^\s,]+)?")

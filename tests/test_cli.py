@@ -118,6 +118,24 @@ def test_ignore_list_defeating_a_filter_exits_before_any_output(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("storage", ["code2seq_typed", "jsonl_trees"])
+def test_ignore_list_typing_annotations_exits_before_any_output(
+        tmp_path, capsys, storage):
+    # both would type `Deprecated` as the member and leave `f` and `n` untyped
+    in_dir = tmp_path / "in"
+    write_files(in_dir, {
+        "A.java": "class A { @Deprecated int f() { return f(); } }\n",
+        "B.java": "class B { @Deprecated int n; int g() { return n; } }\n"})
+    config_path = write_config(tmp_path, base_config(
+        in_dir, tmp_path / "out", label_extractor={"name": "none"},
+        storage={"format": storage},
+        ignore_node_kinds=["KEYWORD", "MODIFIER_LIST", "ANNOTATION"]))
+    assert main(["--config", str(config_path)]) == EXIT_CONFIG
+    assert (f"storage {storage}: ignoring MODIFIER_LIST and ANNOTATION"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("granularity, kind", [
     ("class", "CLASS_DECL"), ("method", "METHOD_DECL"),
 ])

@@ -198,6 +198,26 @@ def test_method_name_extractor_rejects_ignore_lists_that_hide_the_name(
                           label_extractor={"name": "none"}))
 
 
+# With both kinds ignored, an annotation's name is the first IDENTIFIER child
+# of its declaration, so the type walk would bind it in place of the
+# declaration's name: `@Deprecated int f()` would type `Deprecated` as int.
+@pytest.mark.parametrize("storage", ["code2seq_typed", "jsonl_trees"])
+def test_typed_formats_reject_ignore_lists_that_hide_the_name(storage):
+    def config(**overrides):
+        return valid(label_extractor={"name": "none"},
+                     storage={"format": storage}, **overrides)
+
+    ignored = ["KEYWORD", "MODIFIER_LIST", "ANNOTATION"]
+    assert problems_of(config(ignore_node_kinds=ignored)) == [
+        f"storage {storage}: ignoring MODIFIER_LIST and ANNOTATION can type "
+        "a declaration's annotation in place of its name"]
+    # either kind alone is valid, and so are both for untyped code2seq
+    assert validate_config(config(ignore_node_kinds=ignored[:2]))
+    assert validate_config(config(ignore_node_kinds=ignored[::2]))
+    assert validate_config(valid(label_extractor={"name": "none"},
+                                 ignore_node_kinds=ignored))
+
+
 @pytest.mark.parametrize("kind", ["MODIFIER_LIST", "ANNOTATION"])
 def test_method_name_extractor_accepts_either_modifier_kind_alone(kind):
     assert validate_config(valid(ignore_node_kinds=["KEYWORD", kind]))

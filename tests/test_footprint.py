@@ -8,11 +8,12 @@ So is what the JSONL writer adds to the tree of a whole file: it writes
 each node's string once, in reverse preorder, with no list per node.
 
 `hashlib` maps libcrypto, a few MB of a run's peak RSS, as it is imported.
-The one SHA-256 a run needs, the seed of each drawn sample, is computed by
-`treemine.paths`, so no module of the package imports `hashlib` and no run
-loads `_hashlib`, whether it draws samples, writes trees or is a dry run.
-Each run happens in a fresh `python -S` process, so no test or plugin can
-have loaded it first.
+The one SHA-256 a run needs, the seed of each drawn sample, comes from
+CPython's own C module (`_sha2`, or `_sha256` before 3.12). So no module of
+the package imports `hashlib` but as the fallback for an interpreter without
+that module, and no run loads `_hashlib`, whether it draws samples, writes
+trees or is a dry run. Each run happens in a fresh `python -S` process, so
+no test or plugin can have loaded it first.
 """
 
 import ast
@@ -94,13 +95,17 @@ def test_a_run_that_draws_does_not_load_openssl(tmp_path):
 
 def imported_names(source):
     """The modules that `source` imports, at any depth, absolute only."""
-    names = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names.append(node.module)
-    return names
+    return [name for node in ast.walk(ast.parse(source))
+            for name in _imported(node)]
+
+
+def _imported(node):
+    """The modules that the statement `node` imports, absolute only."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
 
 
 def test_import_finder_sees_nested_imports():
@@ -109,11 +114,52 @@ def test_import_finder_sees_nested_imports():
     assert imported_names(source) == ["os", "hashlib", "_hashlib"]
 
 
+C_SHA256 = ("_sha2", "_sha256")
+
+
+def hashlib_imports(source):
+    """The lines of `source` that import `hashlib` or `_hashlib`, but for a
+    plain `from hashlib import sha256` in the `except ImportError:` of a
+    `try` that imports a C SHA-256 module."""
+    nodes = list(ast.walk(ast.parse(source)))
+    fallbacks = set()
+    for node in nodes:
+        if isinstance(node, ast.Try) and any(
+                isinstance(statement, ast.ImportFrom)
+                and statement.module in C_SHA256 for statement in node.body):
+            fallbacks.update(
+                id(statement) for handler in node.handlers
+                if isinstance(handler.type, ast.Name)
+                and handler.type.id == "ImportError"
+                for statement in handler.body
+                if isinstance(statement, ast.ImportFrom)
+                and statement.module == "hashlib" and not statement.level
+                and [(a.name, a.asname) for a in statement.names]
+                == [("sha256", None)])
+    return [node.lineno for node in nodes if id(node) not in fallbacks
+            and any(name.partition(".")[0] in ("hashlib", "_hashlib")
+                    for name in _imported(node))]
+
+
+def test_hashlib_finder_passes_only_the_c_sha256_fallback():
+    fallback = ("try:\n    from _sha2 import sha256\n"
+                "except ImportError:\n    from hashlib import sha256\n")
+    assert hashlib_imports(fallback) == []
+    assert hashlib_imports("def f():\n" + "".join(
+        "    " + line + "\n" for line in fallback.splitlines())) == []
+    for source in (
+            fallback.replace("_sha2", "_random"),
+            fallback.replace("ImportError", "Exception"),
+            fallback.replace("import sha256", "import sha512"),
+            fallback.replace("from hashlib import sha256", "import hashlib"),
+            fallback.replace("from hashlib", "from _hashlib"),
+            fallback + "import hashlib\n"):
+        assert hashlib_imports(source), source
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_hashlib(path):
-    names = imported_names(path.read_text(encoding="utf-8"))
-    assert not [name for name in names
-                if name.partition(".")[0] in ("hashlib", "_hashlib")]
+    assert hashlib_imports(path.read_text(encoding="utf-8")) == []
 
 
 def generated_source(methods):

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import re
+import sys
 import tracemalloc
 
 import pytest
@@ -57,6 +59,22 @@ def flat_tree(n):
 ])
 def test_split_subtokens(token, expected):
     assert split_subtokens(token) == expected
+
+
+def reference_subtokens(token):
+    """The rule of split_subtokens with no fast path: underscore chunks, then
+    lower-to-upper boundaries, then all but ASCII letters and digits go."""
+    parts = [re.sub(r"[^0-9A-Za-z]+", "", piece).lower()
+             for chunk in token.split("_")
+             for piece in re.split(r"(?<=[a-z])(?=[A-Z])", chunk)]
+    return [part for part in parts if part] or ["_"]
+
+
+@given(st.text(alphabet="aZ09xQ_$é中 ", max_size=12)
+       | st.from_regex(r"[0-9A-Za-z]{0,12}", fullmatch=True))
+@settings(max_examples=500)
+def test_split_subtokens_fast_path_keeps_the_rule(token):
+    assert split_subtokens(token) == reference_subtokens(token)
 
 
 def test_single_leaf_no_contexts():
@@ -318,6 +336,11 @@ def test_unbounded_path_length_allocates_nothing_per_limit(monkeypatch):
     assert contexts == sample_contexts(want, limits, tree_key="wide:9")
 
 
+def seed_sha256(message):
+    """The digest of the SHA-256 that `paths` seeds its draws with."""
+    return paths._load_sha256()(message).digest()
+
+
 # the FIPS 180-4 examples: the empty message, "abc", and a 448-bit message
 # whose padding takes a second block
 @pytest.mark.parametrize("message,digest", [
@@ -328,7 +351,7 @@ def test_unbounded_path_length_allocates_nothing_per_limit(monkeypatch):
      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
 ])
 def test_sha256_standard_vectors(message, digest):
-    assert paths._sha256(message).hex() == digest
+    assert seed_sha256(message).hex() == digest
 
 
 def test_sha256_matches_hashlib_across_padding_edges():
@@ -336,14 +359,27 @@ def test_sha256_matches_hashlib_across_padding_edges():
     # and 64 fills a block
     for size in range(201):
         message = bytes((7 * k + size) % 256 for k in range(size))
-        assert paths._sha256(message) == hashlib.sha256(message).digest(), size
+        assert seed_sha256(message) == hashlib.sha256(message).digest(), size
 
 
 @pytest.mark.parametrize("key", ["0:é:3", "0:中:12", "7:\U0001d518:5",
                                  "-1:" + "é中\U0001d518" * 20 + ":9"])
 def test_sha256_matches_hashlib_on_utf8_keys(key):
     message = key.encode("utf-8")
-    assert paths._sha256(message) == hashlib.sha256(message).digest()
+    assert seed_sha256(message) == hashlib.sha256(message).digest()
+
+
+def test_draws_seed_from_cpythons_c_sha256():
+    # `_sha2` from CPython 3.12 on, `_sha256` before
+    assert paths._load_sha256().__module__ in ("_sha2", "_sha256")
+
+
+def test_a_bag_within_the_cap_loads_no_sha256(monkeypatch):
+    monkeypatch.setattr(paths, "_sha256", None)
+    assert len(mine(binary_tree(), MinerLimits(max_contexts=6), "m")) == 6
+    assert paths._sha256 is None
+    assert len(mine(binary_tree(), MinerLimits(max_contexts=5), "m")) == 5
+    assert paths._sha256 is not None
 
 
 # tree keys of one and two blocks, ASCII or not: a seed's key is
@@ -363,6 +399,26 @@ def test_sampler_matches_hashlib_reference():
                     limits = MinerLimits(max_contexts=cap, rng_seed=seed)
                     assert sample_contexts(indices[:n], limits, key) == \
                         oracle_picks(n, cap, seed, key), (key, n, seed, cap)
+
+
+def test_draws_fall_back_to_hashlib(monkeypatch):
+    indices = list(range(1000))
+    cases = [(key, n, seed, cap) for key in SAMPLER_KEYS
+             for n in (6, 41, 1000) for seed in (0, -7, 2**70)
+             for cap in (1, 5, 40)]
+
+    def draws():
+        return [sample_contexts(indices[:n], MinerLimits(
+            max_contexts=cap, rng_seed=seed), key)
+            for key, n, seed, cap in cases]
+
+    want = draws()
+    # a module that sys.modules maps to None fails to import
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setattr(paths, "_sha256", None)
+    assert draws() == want
+    assert paths._sha256 is hashlib.sha256
 
 
 @given(st.integers(min_value=0, max_value=400),

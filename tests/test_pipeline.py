@@ -472,7 +472,7 @@ def test_only_typed_formats_annotate_types(tmp_path, monkeypatch, storage):
                                          storage={"format": storage}))
     expected = process_file(path, "A.java", config)
 
-    def refuse(tree):
+    def refuse(tree, skip):
         raise RuntimeError("types annotated")
 
     monkeypatch.setattr(pipeline, "annotate_types", refuse)

@@ -279,3 +279,32 @@ def test_second_annotation_changes_no_type():
         assert annotate_types(tree) is tree
         again = [leaf.resolved_type for leaf in tree.leaves()]
         assert again == first, path.name
+
+
+def test_annotated_members_are_typed_by_their_own_names():
+    # with MODIFIER_LIST and ANNOTATION both ignored a typed run is rejected
+    # (test_config.py); with either kept, the annotation's name is no member
+    for ignored in ((), ("MODIFIER_LIST",), ("ANNOTATION",)):
+        tree = annotated("class A { @Deprecated int f() { return f(); } }",
+                         *ignored)
+        assert [lookup(tree, "f", k) for k in (0, 1)] == ["int", "int"]
+        assert lookup(tree, "Deprecated") == NO_TYPE
+        tree = annotated("class A { @Deprecated int n; int g() "
+                         "{ return n; } }", *ignored)
+        assert [lookup(tree, "n", k) for k in (0, 1)] == ["int", "int"]
+
+
+def test_skipped_units_of_a_deep_tree_are_not_entered():
+    # each method holds a `+` chain thousands of levels deep, which a
+    # recursive walk could not type
+    chain = " + ".join(["x"] * 3000)
+    tree = build("class Deep { int a(int x) { return " + chain + "; }"
+                 " int b(double x) { return a(1) + " + chain + "; } }")
+    a, b = find_all(tree, "METHOD_DECL")
+    assert annotate_types(tree, {id(a)}) is tree
+    assert {leaf.resolved_type for leaf in b.leaves()
+            if leaf.token == "x"} == {"double"}
+    assert lookup(tree, "a", 1) == "int"  # the skipped method's return type
+    # the parameter and every use of it in the skipped method
+    assert [leaf.resolved_type for leaf in a.leaves()
+            if leaf.token == "x"] == [None] * 3001
