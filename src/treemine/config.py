@@ -19,7 +19,7 @@ from .filters import FILTER_NAMES, METHOD_ONLY_FILTERS, FilterSpec
 from .granularity import GRANULARITY_LEVELS
 from .labels import DEFAULT_NAME_TOKEN, DEFAULT_RECURSION_TOKEN
 from .paths import MinerLimits
-from .storage import FORMATS, StorageSpec
+from .storage import FORMATS, TYPED_FORMATS, StorageSpec
 
 _TOP_KEYS = ("input_dir", "output_dir", "dataset_name", "source_extensions",
              "ignore_node_kinds", "granularity", "filters", "label_extractor",
@@ -54,12 +54,9 @@ _IGNORE_CONFLICTS = (
      "ignoring IDENTIFIER keeps every @Override method"),
     ("filter abstract_method", {CstKind.CODE_BLOCK},
      "ignoring CODE_BLOCK rejects every method as abstract"),
-    ("storage code2seq_typed", {CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
-     "ignoring MODIFIER_LIST and ANNOTATION can type a declaration's "
-     "annotation in place of its name"),
-    ("storage jsonl_trees", {CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
-     "ignoring MODIFIER_LIST and ANNOTATION can type a declaration's "
-     "annotation in place of its name"),
+    *(("storage " + name, {CstKind.MODIFIER_LIST, CstKind.ANNOTATION},
+       "ignoring MODIFIER_LIST and ANNOTATION can type a declaration's "
+       "annotation in place of its name") for name in TYPED_FORMATS),
 )
 
 

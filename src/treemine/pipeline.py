@@ -32,8 +32,8 @@ from .labels import extract_method_name, extract_none
 from .lexer import scan
 from .parser import parse
 from .paths import mine
-from .storage import (STATS_FILE, RunStatistics, finalize, format_sample,
-                      staging_path)
+from .storage import (CONTEXT_FORMATS, STATS_FILE, TYPED_FORMATS,
+                      RunStatistics, finalize, format_sample, staging_path)
 from .type_resolver import annotate_types
 
 logger = logging.getLogger("treemine")
@@ -144,9 +144,8 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
                          if not accept(unit, unit.span, spec)), None)
                    for unit in units]
     rejected = {id(unit) for unit, name in zip(units, rejected_by) if name}
-    if config.storage_format != "code2seq" and len(rejected) < len(units):
-        # plain code2seq lines carry no types, and no output holds a
-        # rejected unit
+    if config.storage_format in TYPED_FORMATS and len(rejected) < len(units):
+        # no output holds a rejected unit
         annotate_types(tree, rejected)
     results = []
     for unit, name in zip(units, rejected_by):
@@ -158,10 +157,8 @@ def _process(path: Path, relpath: str, config: PipelineConfig) -> FileResult:
                                          config.recursion_token)
         else:
             sample = extract_none(unit)
-        if config.storage_format == "jsonl_trees":
-            contexts = []
-        else:
-            contexts = mine(sample.tree, config.miner, sample.label)
+        contexts = (mine(sample.tree, config.miner, sample.label)
+                    if config.storage_format in CONTEXT_FORMATS else [])
         line = format_sample(sample, contexts, config.storage_format)
         results.append(UnitResult(None, len(contexts), line))
     return FileResult(relpath, None, results)

@@ -1,11 +1,14 @@
 """Dataset serialization and run statistics.
 
 Two output families: code2seq bag-of-paths lines (untyped or typed) and
-JSONL trees with preorder-numbered node arrays. Formatting is bit-exact:
-the same samples always produce the same bytes. A code2seq line is the
-label's subtokens, then each context's strings, which the miner made as the
-line writes them (see `paths.PathContext`): only the label is split here. A
-JSONL line is joined from one string per node, escaped by json's own string
+JSONL trees with preorder-numbered node arrays. This is where each format's
+contexts and types are named: the formats of CONTEXT_FORMATS write mined
+path-contexts, and those of TYPED_FORMATS write types; no other module of
+the package compares a format name. Formatting is bit-exact: the same
+samples always produce the same bytes. A code2seq line is the label's
+subtokens, then each context's strings, which the miner made as the line
+writes them (see `paths.PathContext`): only the label is split here. A JSONL
+line is joined from one string per node, escaped by json's own string
 encoder, so it holds the bytes `json.dumps` gives without building a dict
 per node.
 """
@@ -13,7 +16,7 @@ per node.
 import json
 import json.encoder
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
@@ -25,6 +28,8 @@ from .paths import PathContext, split_subtokens
 _quote = json.encoder.encode_basestring_ascii
 
 FORMATS = ("code2seq", "code2seq_typed", "jsonl_trees")
+CONTEXT_FORMATS = ("code2seq", "code2seq_typed")
+TYPED_FORMATS = ("code2seq_typed", "jsonl_trees")
 STATS_FILE = "stats.json"
 
 
@@ -34,7 +39,7 @@ class StorageSpec(NamedTuple):
     dataset_name: str
 
     def output_path(self, split: str) -> Path:
-        ext = ".jsonl" if self.format == "jsonl_trees" else ".c2s"
+        ext = ".c2s" if self.format in CONTEXT_FORMATS else ".jsonl"
         return self.output_dir / f"{self.dataset_name}.{split}{ext}"
 
 
@@ -72,18 +77,13 @@ class RunStatistics:
         return self.context_total / self.samples_written
 
     def to_dict(self) -> dict:
-        return {
-            "files_seen": self.files_seen,
-            "files_parsed": self.files_parsed,
-            "parse_failures": self.parse_failures,
-            "trees_before_filters": self.trees_before_filters,
-            "trees_after_filters": self.trees_after_filters,
-            "samples_written": self.samples_written,
-            "filter_rejections": dict(sorted(self.filter_rejections.items())),
-            "contexts_min": self.contexts_min,
-            "contexts_max": self.contexts_max,
-            "contexts_mean": self.contexts_mean,
-        }
+        """The fields in order, rejections sorted, and the mean in place of
+        the running total, which is last."""
+        data = asdict(self)
+        data["filter_rejections"] = dict(sorted(self.filter_rejections.items()))
+        del data["context_total"]
+        data["contexts_mean"] = self.contexts_mean
+        return data
 
 
 # -- code2seq format ----------------------------------------------------------
@@ -144,13 +144,12 @@ def format_jsonl_tree(sample: LabeledTree) -> str:
 
 def format_sample(sample: LabeledTree, contexts: list[PathContext],
                   storage_format: str) -> str:
-    if storage_format == "code2seq":
-        return format_code2seq(sample, contexts, typed=False)
-    if storage_format == "code2seq_typed":
-        return format_code2seq(sample, contexts, typed=True)
-    if storage_format == "jsonl_trees":
-        return format_jsonl_tree(sample)
-    raise ValueError(f"unknown storage format: {storage_format!r}")
+    if storage_format not in FORMATS:
+        raise ValueError(f"unknown storage format: {storage_format!r}")
+    if storage_format in CONTEXT_FORMATS:
+        return format_code2seq(sample, contexts,
+                               typed=storage_format in TYPED_FORMATS)
+    return format_jsonl_tree(sample)
 
 
 # -- statistics ---------------------------------------------------------------

@@ -484,6 +484,26 @@ def test_only_typed_formats_annotate_types(tmp_path, monkeypatch, storage):
         assert result.units == []
 
 
+@pytest.mark.parametrize("storage", FORMATS)
+def test_only_context_formats_mine(tmp_path, monkeypatch, storage):
+    path = tmp_path / "A.java"
+    path.write_text(RECURSIVE, encoding="utf-8")
+    config = validate_config(base_config(tmp_path, tmp_path / "out",
+                                         storage={"format": storage}))
+    expected = process_file(path, "A.java", config)
+
+    def refuse(tree, limits, label):
+        raise RuntimeError("contexts mined")
+
+    monkeypatch.setattr(pipeline, "mine", refuse)
+    result = process_file(path, "A.java", config)
+    if storage in ("code2seq", "code2seq_typed"):
+        assert result.error == "internal: RuntimeError: contexts mined"
+        assert result.units == []
+    else:
+        assert result == expected
+
+
 # -- whole-run fuzz ------------------------------------------------------------
 
 def _probe_method(body):

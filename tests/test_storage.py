@@ -353,6 +353,13 @@ def test_to_dict_sorts_rejections():
         "abstract_method", "tree_size"]
 
 
+def test_to_dict_keys_follow_the_fields():
+    assert list(RunStatistics().to_dict()) == [
+        "files_seen", "files_parsed", "parse_failures",
+        "trees_before_filters", "trees_after_filters", "samples_written",
+        "filter_rejections", "contexts_min", "contexts_max", "contexts_mean"]
+
+
 def test_finalize_writes_summary_and_stats_file(tmp_path):
     stats = RunStatistics(files_seen=3, files_parsed=2, parse_failures=1)
     stats.record_sample(4)
@@ -364,7 +371,44 @@ def test_finalize_writes_summary_and_stats_file(tmp_path):
     assert "files seen:           3" in text
     assert "rejected by tree_size: 1" in text
     on_disk = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
-    assert on_disk == stats.to_dict()
+    assert list(on_disk.items()) == list(stats.to_dict().items())
     raw = (tmp_path / "stats.json").read_text(encoding="utf-8")
     assert raw.endswith("\n")
     assert raw.startswith("{\n  ")
+
+
+def test_finalize_prints_every_counter(tmp_path):
+    stats = RunStatistics(files_seen=5, files_parsed=4, parse_failures=1,
+                          trees_before_filters=6, trees_after_filters=3)
+    for n in (2, 7, 3):
+        stats.record_sample(n)
+    stats.record_rejection("tree_size")
+    stats.record_rejection("constructor")
+    stats.record_rejection("tree_size")
+    sink = io.StringIO()
+    finalize(stats, sink, tmp_path, [])
+    assert sink.getvalue() == (
+        "run statistics:\n"
+        "  files seen:           5\n"
+        "  files parsed:         4\n"
+        "  parse failures:       1\n"
+        "  trees before filters: 6\n"
+        "  trees after filters:  3\n"
+        "  samples written:      3\n"
+        "  contexts per sample:  min 2 / mean 4.00 / max 7\n"
+        "  rejected by constructor: 1\n"
+        "  rejected by tree_size: 2\n")
+
+
+def test_finalize_prints_empty_statistics(tmp_path):
+    sink = io.StringIO()
+    finalize(RunStatistics(), sink, tmp_path, [])
+    assert sink.getvalue() == (
+        "run statistics:\n"
+        "  files seen:           0\n"
+        "  files parsed:         0\n"
+        "  parse failures:       0\n"
+        "  trees before filters: 0\n"
+        "  trees after filters:  0\n"
+        "  samples written:      0\n"
+        "  contexts per sample:  min 0 / mean 0.00 / max 0\n")
