@@ -11,16 +11,25 @@ the node-count limit allows and meets only the leaves of the next
 leaves within reach of each leaf, not with all pairs.
 
 One index of the leaves serves both entry points, and one walker lists
-pairs from it. `enumerate_paths` lists every valid pair. On a large unit,
-`mine` lists each leaf's pairs in turn only to count them: it draws the
-sample from the count, lists again only the leaves where a drawn pair falls
-and builds only the contexts it keeps, so its memory grows with the leaves
-and the limits, not with the valid pairs.
+pairs from it. The index keeps one frame per internal node: the node, its
+place among its parent's children, its parent's frame and its reach list.
+A leaf keeps its node, its place, its parent's frame and its depth, and
+reaches its ancestors by walking frames. A path that turns at a node goes
+down through a later child than the one it came up through, so only a child
+after the first starts a window, and only such a child has a reach entry:
+an internal child's reach list, or a leaf child's own index.
+
+`enumerate_paths` lists every valid pair. On a large unit, `mine` lists
+each leaf's pairs in turn only to count them: it draws the sample from the
+count, lists again only the leaves where a drawn pair falls and builds only
+the contexts it keeps, so its memory grows with the leaves and the limits,
+not with the valid pairs.
 
 A context is made as the text a code2seq line writes (`PathContext`), so
-the writer only joins it. A leaf's token, type and chain node types are made
-once per unit, the first time the leaf ends a kept context, and each half of
-a path once per leaf and height; nothing is kept from one unit to the next.
+the writer only joins it. A leaf's token, type and node types, which
+`_build` reads by walking the leaf's frames, are made once per unit, the
+first time the leaf ends a kept context, and each half of a path once per
+leaf and height; nothing is kept from one unit to the next.
 
 The seed of each drawn sample is the SHA-256 of a short key, from CPython's
 own C module (`_sha2`, or `_sha256` before 3.12), imported by the first draw,
@@ -89,11 +98,15 @@ def split_subtokens(token: str) -> list[str]:
 # i and `down` edges above leaf j; the path has up + down + 1 nodes.
 Pair = tuple[int, int, int, int]
 
+# (node, place among its parent's children, parent's frame, reach list or
+# None): what the leaf index keeps of an internal node
+Frame = tuple[AstNode, int, "Frame | None", "list[int] | None"]
+
 
 def enumerate_paths(tree: AstNode, limits: MinerLimits) -> list[PathContext]:
     """All leaf-pair contexts within the limits, ordered by leaf indices."""
     index = _LeafIndex(tree, limits)
-    return _build(index.chains, index.pairs(range(len(index.chains))))
+    return _build(index, index.pairs(range(len(index.leaves))))
 
 
 def sample_contexts(contexts: list[PathContext], limits: MinerLimits,
@@ -109,6 +122,11 @@ def sample_contexts(contexts: list[PathContext], limits: MinerLimits,
 # A unit with at most this many times max_contexts leaf pairs in all has
 # its valid pairs listed once and drawn from: while they are few, they take
 # little memory, and listing once beats listing twice (count, then locate).
+# The rule counts leaf pairs, which bound the valid pairs, so it is what
+# keeps a larger unit's valid pairs out of memory: a rule on the valid pairs
+# would list all 9,608 of a 718-leaf unit at max_contexts 200, about 790 KB
+# traced, more than its index and its counted draw together, where
+# count-then-locate holds none of them.
 LIST_FACTOR = 64
 
 
@@ -121,15 +139,15 @@ def mine(tree: AstNode, limits: MinerLimits, label: str) -> list[PathContext]:
     are listed again. So memory does not grow with the number of valid pairs.
     """
     index = _LeafIndex(tree, limits)
-    n_leaves = len(index.chains)
+    n_leaves = len(index.leaves)
     tree_key = f"{label}:{n_leaves}"
     if n_leaves * (n_leaves - 1) // 2 <= LIST_FACTOR * limits.max_contexts:
         pairs = index.pairs(range(n_leaves))
         picks = _picks(len(pairs), limits, tree_key)
-        return _build(index.chains, [pairs[k] for k in picks])
+        return _build(index, [pairs[k] for k in picks])
     counts = [len(index.pairs((i,))) for i in range(n_leaves)]
     picks = _picks(sum(counts), limits, tree_key)
-    return _build(index.chains, index.locate(counts, picks))
+    return _build(index, index.locate(counts, picks))
 
 
 def _picks(n: int, limits: MinerLimits, tree_key: str) -> range | list[int]:
@@ -164,52 +182,62 @@ def _load_sha256():
 class _LeafIndex:
     """The leaves of a tree in preorder, and what pairs them within limits.
 
-    Each leaf comes as its chain: the leaf, then its ancestors up to the
-    highest one a path from it can turn at. A path turning `up` edges above
-    leaf i may go down at most `max_path_nodes - up - 1` edges, so each
-    node's reach list holds the leaves at most `max_path_nodes - 3` levels
-    below it (up >= 1, and the first edge down is the one into the branch
-    child), in preorder.
+    Each internal node has one frame, a tuple: the node, its place among its
+    parent's children, its parent's frame (None at the root) and its reach
+    list, or None. A leaf keeps its node, its place, its parent's frame and
+    its depth. So a leaf's ancestors are read by walking frames upwards:
+    `pairs` walks them to find the windows, and `_build` to read the node
+    types of a path.
+
+    A path turning at an ancestor goes down through a child after the one it
+    came up through, so only a child after the first starts a window, and
+    only such a child has a reach entry, kept by the child's `id()`. An
+    internal child's entry is its frame's reach list: the leaves at most
+    `max_path_nodes - 3` levels below it (a path turning `up` edges above
+    leaf i may go down at most `max_path_nodes - up - 1` edges, up >= 1, and
+    the first edge down is the one into the child), in preorder. A leaf
+    child's entry is its own leaf index.
     """
 
     def __init__(self, tree: AstNode, limits: MinerLimits) -> None:
-        max_nodes = limits.max_path_nodes
-        reach_depth = max_nodes - 3
-        reach: dict[int, list[int]] = {}
-        chains: list[list[AstNode]] = []
-        branches: list[list[int]] = []
+        reach_depth = limits.max_path_nodes - 3
+        reach: dict[int, list[int] | int] = {}
+        leaves: list[AstNode] = []
+        places: list[int] = []
+        parents: list[Frame | None] = []
         depths: list[int] = []
-
-        # preorder; from the root down to the current node, `path` holds the
-        # nodes, `index` each one's place among its parent's children and
-        # `lists` each one's reach list
-        path: list[AstNode] = []
-        index: list[int] = []
-        lists: list[list[int]] = []
-        stack = [(tree, 0, 0)]
+        stack: list[tuple[AstNode, int, Frame | None, int]] = [
+            (tree, 0, None, 0)]
         while stack:
-            node, depth, k = stack.pop()
-            del path[depth:], index[depth:], lists[depth:]
-            path.append(node)
-            index.append(k)
-            reach[id(node)] = own = []
-            lists.append(own)
+            node, k, parent, depth = stack.pop()
             children = node.children
             if children:
+                own = None
+                if k:
+                    own = reach[id(node)] = []
+                frame = (node, k, parent, own)
                 n = len(children)
-                stack.extend(zip(reversed(children), repeat(depth + 1, n),
-                                 range(n - 1, -1, -1)))
+                stack.extend(zip(reversed(children), range(n - 1, -1, -1),
+                                 repeat(frame, n), repeat(depth + 1, n)))
                 continue
-            i = len(chains)
-            for e in range(min(reach_depth, depth) + 1):
-                lists[depth - e].append(i)
-            chains.append(path[:-max_nodes:-1])
-            branches.append(index[:-max_nodes:-1])
+            i = len(leaves)
+            if k:
+                reach[id(node)] = i
+            leaves.append(node)
+            places.append(k)
+            parents.append(parent)
             depths.append(depth)
+            frame = parent
+            for _ in range(min(reach_depth, depth)):
+                own = frame[3]
+                if own is not None:
+                    own.append(i)
+                frame = frame[2]
         self.limits = limits
         self.reach = reach
-        self.chains = chains
-        self.branches = branches
+        self.leaves = leaves
+        self.places = places
+        self.parents = parents
         self.depths = depths
 
     def locate(self, counts: list[int], picks: Sequence[int]) -> list[Pair]:
@@ -240,40 +268,55 @@ class _LeafIndex:
         max_nodes = self.limits.max_path_nodes
         width = self.limits.max_path_width
         reach = self.reach
+        places = self.places
+        parents = self.parents
         depths = self.depths
         pairs: list[Pair] = []
         append = pairs.append
         for i in leaves:
-            chain = self.chains[i]
-            branch = self.branches[i]
             depth = depths[i]
-            # the ancestor chain[up] is reached through its child
-            # branch[up - 1]; from it, a path may go down at most
-            # max_nodes - up - 1 edges, so to depth `deepest`
-            for up in range(1, len(chain)):
+            k = places[i]
+            frame = parents[i]
+            # the ancestor `up` edges above leaf i is reached through its
+            # child k; from it, a path may go down at most max_nodes - up - 1
+            # edges, so to depth `deepest`
+            for up in range(1, min(depth, max_nodes - 2) + 1):
+                node, place, parent, _ = frame
                 deepest = depth + max_nodes - 1 - 2 * up
                 base = depth - up
-                k = branch[up - 1]
-                for child in chain[up].children[k + 1:k + 1 + width]:
-                    for j in reach[id(child)]:
+                for child in node.children[k + 1:k + 1 + width]:
+                    entry = reach[id(child)]
+                    if entry.__class__ is int:
+                        # a leaf child, one edge down: always within reach
+                        append((i, entry, up, 1))
+                        continue
+                    for j in entry:
                         d = depths[j]
                         if d <= deepest:
                             append((i, j, up, d - base))
+                k = place
+                frame = parent
         return pairs
 
 
-def _build(chains: list[list[AstNode]], pairs: list[Pair]) -> list[PathContext]:
+def _build(index: _LeafIndex, pairs: list[Pair]) -> list[PathContext]:
     """One context per pair, each of its strings made at most once.
 
-    A leaf's token, type and chain node types are made the first time the
-    leaf ends a context, and the written text of each distinct token and
-    type once. The path's rising half, the start leaf up to the common
-    ancestor, is joined once per (leaf, height): pairs come grouped by start
-    leaf and height, so it is the last one joined or a new one. The falling
-    half, below the ancestor down to the end leaf, is kept by (leaf,
-    height), so a context costs one concatenation. Nothing outlives the
-    call.
+    A leaf's token, type and node types (its own, then those of the
+    ancestors a path from it can turn at, read by walking its frames) are
+    made the first time the leaf ends a context, and the written text of
+    each distinct token and type once. The path's rising half, the start
+    leaf up to the common ancestor, is joined once per (leaf, height):
+    pairs come grouped by start leaf and height, so it is the last one
+    joined or a new one. The falling half, below the ancestor down to the
+    end leaf, is kept by (leaf, height), so a context costs one
+    concatenation. Nothing outlives the call.
     """
+    leaves = index.leaves
+    parents = index.parents
+    depths = index.depths
+    # the ancestors a path from a leaf can turn at
+    most = index.limits.max_path_nodes - 2
     ends: dict[int, tuple[str, str, list[str]]] = {}
     # the written text by token, and by resolved type
     token_texts: dict[str | None, str] = {}
@@ -282,8 +325,7 @@ def _build(chains: list[list[AstNode]], pairs: list[Pair]) -> list[PathContext]:
     def end_of(k: int) -> tuple[str, str, list[str]]:
         end = ends.get(k)
         if end is None:
-            chain = chains[k]
-            leaf = chain[0]
+            leaf = leaves[k]
             token = token_texts.get(leaf.token)
             if token is None:
                 token = token_texts[leaf.token] = "|".join(
@@ -292,13 +334,18 @@ def _build(chains: list[list[AstNode]], pairs: list[Pair]) -> list[PathContext]:
             if type_ is None:
                 type_ = type_texts[leaf.resolved_type] = "".join(
                     (leaf.resolved_type or NO_TYPE).split()).replace(",", ";")
-            end = ends[k] = (token, type_, [node.node_type for node in chain])
+            types = [leaf.node_type]
+            frame = parents[k]
+            for _ in range(min(depths[k], most)):
+                types.append(frame[0].node_type)
+                frame = frame[2]
+            end = ends[k] = (token, type_, types)
         return end
 
     # keyed by down * n + j, one key per (leaf, height) as 1 <= down and
     # j < n
     falls: dict[int, tuple[str, str, str]] = {}
-    n = len(chains)
+    n = len(leaves)
     contexts: list[PathContext] = []
     new = tuple.__new__
     last_i = last_up = -1

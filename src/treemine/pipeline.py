@@ -48,8 +48,10 @@ LOOSE_PROJECT = "."
 
 # The largest file a run reads, in bytes on disk. A run's peak RSS grows by
 # about 160 bytes per byte of its largest file when it writes whole-file
-# JSONL trees, and by about 145 when it mines methods, so this bounds it
-# near 650 MiB.
+# JSONL trees, and by about 145 when it mines methods. Just under this bound
+# a generated file of short methods peaks at 565 MiB when mined, and one of
+# a single long method at 445 MiB. So this bounds a run's peak RSS near
+# 650 MiB.
 MAX_FILE_BYTES = 4 * 2**20
 
 

@@ -1,11 +1,13 @@
-"""What a run holds: a bounded front end and writer per source byte, and no
-OpenSSL.
+"""What a run holds: a bounded front end and writer per source byte, a
+bounded miner per leaf, and no OpenSSL.
 
 The front end's peak and the tree it leaves are bounded per byte of a
 generated source file, under `tracemalloc`: tokens carry no lines, markers
 are one flat list, and leaves carry no span and share one empty `children`.
 So is what the JSONL writer adds to the tree of a whole file: it writes
-each node's string once, in reverse preorder, with no list per node.
+each node's string once, in reverse preorder, with no list per node. The
+miner's peak is bounded per leaf of a long method: its leaf index keeps one
+frame per internal node and a reach entry only for a child after the first.
 
 `hashlib` maps libcrypto, a few MB of a run's peak RSS, as it is imported.
 The one SHA-256 a run needs, the seed of each drawn sample, comes from
@@ -30,6 +32,7 @@ from treemine.granularity import split
 from treemine.labels import extract_none
 from treemine.lexer import scan
 from treemine.parser import parse
+from treemine.paths import MinerLimits, mine
 from treemine.storage import format_jsonl_tree
 from treemine.type_resolver import annotate_types
 
@@ -216,3 +219,40 @@ def test_jsonl_writer_memory_per_source_byte():
         tracemalloc.stop()
     assert line.startswith('[{"type":"FILE","children":[1],"label":')
     assert peak / size < 95
+
+
+def long_method(statements):
+    """One method of `statements` declarations, branches, loops and calls,
+    about six leaves each, as the benchmark's long methods hold."""
+    lines = []
+    for i in range(statements):
+        lines.append((
+            f"int v{i} = x + {i} * y;",
+            f"if (v{i - 1} > {i}) {{ y = y - v{i - 1}; }} "
+            "else { x = x + 1; }",
+            f"while (x < {i}) {{ x = x + count(x, y); }}",
+            f'y = sum(x, v{i - 3}, "s{i}");')[i % 4])
+    return ("class Long { int run(int x, int y) {\n" + "\n".join(lines)
+            + "\nreturn y; } }\n")
+
+
+def test_miner_memory_per_leaf():
+    # bytes traced per leaf while a 757-leaf method is mined at the default
+    # limits, on CPython 3.10.13 to 3.13.0: 641 to 664 (1,005 to 1,029 with
+    # a chain and a branch list per leaf and a reach list per node)
+    tokens = scan(long_method(120))
+    [unit] = split(build(tokens, parse(tokens),
+                         frozenset(DEFAULT_IGNORE_NAMES)), "method")
+    del tokens
+    leaves = sum(1 for _ in unit.leaves())
+    assert leaves >= 700
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        contexts = mine(unit, MinerLimits(), "run")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(contexts) == MinerLimits().max_contexts
+    assert peak / leaves < 850

@@ -179,6 +179,63 @@ def test_matches_oracle_with_bounds():
         assert got == want
 
 
+# the shapes the leaf index treats apart: a later child that is a leaf (its
+# reach entry is its own index), a later child that is internal (a reach
+# list), and an ancestor whose only internal child is its first (no reach
+# list below it)
+INDEX_SHAPES = {
+    "later_leaf": node(
+        "CODE_BLOCK",
+        node("IF_STMT", node("BINARY_EXPR:+", leaf("IDENTIFIER", "x"),
+                             leaf("LITERAL", "1")),
+             leaf("IDENTIFIER", "y")),
+        leaf("IDENTIFIER", "z"), leaf("LITERAL", "2"),
+        node("METHOD_CALL", leaf("IDENTIFIER", "f"), leaf("IDENTIFIER", "g"))),
+    "later_internal": node(
+        "CODE_BLOCK", leaf("IDENTIFIER", "a"),
+        node("IF_STMT", leaf("IDENTIFIER", "b"),
+             node("CODE_BLOCK", node(
+                 "METHOD_CALL", leaf("IDENTIFIER", "c"),
+                 node("BINARY_EXPR:+", leaf("IDENTIFIER", "d"),
+                      node("METHOD_CALL", leaf("LITERAL", "e"))))),
+             leaf("IDENTIFIER", "f")),
+        node("METHOD_CALL", node("BINARY_EXPR:+", leaf("IDENTIFIER", "g"),
+                                 leaf("LITERAL", "h")),
+             leaf("IDENTIFIER", "i"))),
+    "first_only_internal": node(
+        "METHOD_CALL",
+        node("CODE_BLOCK",
+             node("IF_STMT", node("BINARY_EXPR:+", leaf("IDENTIFIER", "a"),
+                                  leaf("LITERAL", "b")),
+                  leaf("IDENTIFIER", "c")),
+             leaf("IDENTIFIER", "d")),
+        leaf("IDENTIFIER", "e"), leaf("LITERAL", "f"),
+        leaf("IDENTIFIER", "g")),
+}
+
+
+@pytest.mark.parametrize("list_factor", [0, paths.LIST_FACTOR])
+@pytest.mark.parametrize("shape", sorted(INDEX_SHAPES))
+def test_index_shapes_match_oracle(shape, list_factor):
+    tree = INDEX_SHAPES[shape]
+    n_leaves = sum(1 for _ in tree.leaves())
+    for width in range(4):
+        for max_nodes in range(3, 10):
+            want = oracle_enumerate(tree, max_nodes, width)
+            for max_contexts in (3, 10_000):
+                limits = MinerLimits(max_path_nodes=max_nodes,
+                                     max_path_width=width,
+                                     max_contexts=max_contexts)
+                assert enumerate_paths(tree, limits) == want
+                with pytest.MonkeyPatch.context() as patch:
+                    # at 0 every bag is counted and located, not listed
+                    patch.setattr(paths, "LIST_FACTOR", list_factor)
+                    contexts = mine(tree, limits, shape)
+                assert contexts == sample_contexts(
+                    want, limits, tree_key=f"{shape}:{n_leaves}"), (
+                    width, max_nodes, max_contexts)
+
+
 def test_tightening_limits_never_adds_contexts():
     rng = random.Random(7)
     for _ in range(25):
