@@ -5,12 +5,13 @@ declaration's name, text, type and modifiers in every shape `build` leaves.
 
 `build` turns a file's token arrays and the parser's markers into its AST in
 one bottom-up pass, with no CST in between. A kind is the string of its name,
-so it becomes the `node_type` as it is. `build` drops whitespace and the
-kinds in the ignore set, a plain set of kind names: ignored leaves (comments
-among them) go, and an ignored internal kind is spliced out node-wise, its
-children hoisted into the parent. Only a node that can be a unit gets a
-span, the lines that the `code_lines` filter reads; they are counted in one
-sweep over the tokens once the tree is built.
+so it becomes the `node_type` as it is, and the nodes of one
+operator-suffixed type, such as `BINARY_EXPR:+`, share one string. `build`
+drops whitespace and the kinds in the ignore set, a plain set of kind names:
+ignored leaves (comments among them) go, and an ignored internal kind is
+spliced out node-wise, its children hoisted into the parent. Only a node
+that can be a unit gets a span, the lines that the `code_lines` filter
+reads; they are counted in one sweep over the tokens once the tree is built.
 The parser is the one producer of markers: `build_ast` takes the CST that
 `parser.parse_file` returned and builds from the tokens and markers kept on
 its root, without walking the CST.
@@ -130,6 +131,8 @@ def build(tokens: Tokens, markers: list[str | int],
     # the nodes that get a span, and their token ranges
     units: list[AstNode] = []
     ranges: list[tuple[int, int]] = []
+    # each distinct operator-suffixed node type, made once per file
+    suffixed: dict[str, str] = {}
     it = iter(markers)
     for kind, first, end, count in zip(it, it, it, it):
         kids = done[len(done) - count:]
@@ -164,6 +167,7 @@ def build(tokens: Tokens, markers: list[str | int],
             node_type = kind
             if op and kind in _OPERATOR_SUFFIXED:
                 node_type = f"{node_type}:{op}"
+                node_type = suffixed.setdefault(node_type, node_type)
             node = AstNode(node_type, None, None, children)
             if kind in UNIT_KINDS:
                 units.append(node)

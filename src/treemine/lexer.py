@@ -8,18 +8,17 @@ pipeline reads files with universal newlines, so CRLF and CR line ends
 arrive as LF.
 
 One alternation regex, compiled at import, recognises every token, and one
-`findall` over it collects every token text. A token's first one or two
-characters decide its kind, so kinds are looked up from the texts
-afterwards. An opener that its alternative cannot close takes the rest of
-the source as one token, so `findall` reads each character once, and only
-the last token can be unterminated. Only when the texts show an error, an
-unterminated last token or a character that they skip, are they walked
-along the source to locate the first one.
+`findall` over it collects every token text. An opener that its alternative
+cannot close takes the rest of the source as one token, so `findall` reads
+each character once, and only the last token can be unterminated. Equal
+texts are then made one string, so the tokens and the tree's leaves hold
+each distinct text once. Only when the texts show an error, an unterminated
+last token or a character that they skip, are they walked along the source
+to locate the first one. A token's first one or two characters decide its
+kind, so the kind of each distinct text is looked up once, afterwards.
 """
 
 import re
-from itertools import compress, count, repeat
-from operator import eq, itemgetter
 from typing import NoReturn
 
 from .cst import CstKind, CstNode, Tokens
@@ -92,14 +91,22 @@ def scan(source: str) -> Tokens:
     string/char literals, and on unterminated block comments.
     """
     texts = _TOKEN_RE.findall(source)
-    kinds = list(map(_TEXT_KINDS.get, texts,
-                     map(_FIRST_KINDS.__getitem__, map(itemgetter(0), texts))))
+    # equal texts become the first string made of them
+    shared: dict[str, str] = {}
+    texts = list(map(shared.setdefault, texts, texts))
     if (sum(map(len, texts)) != len(source)
             or texts and _unterminated(texts[-1])):
         _raise_first_error(source, texts)
-    for i in compress(count(), map(eq, kinds, repeat(CstKind.LINE_COMMENT))):
-        kinds[i] = _COMMENT_KINDS[texts[i][1]]
-    return Tokens(kinds, texts)
+    kind_of = {text: _kind(text) for text in shared}
+    return Tokens(list(map(kind_of.__getitem__, texts)), texts)
+
+
+def _kind(text: str) -> str:
+    """The kind of a token text that the token regex matched."""
+    kind = _TEXT_KINDS.get(text) or _FIRST_KINDS[text[0]]
+    if kind == CstKind.LINE_COMMENT:
+        return _COMMENT_KINDS[text[1]]
+    return kind
 
 
 def _unterminated(text: str) -> bool:

@@ -47,11 +47,11 @@ WHOLE_SPLIT = "data"
 LOOSE_PROJECT = "."
 
 # The largest file a run reads, in bytes on disk. A run's peak RSS grows by
-# about 160 bytes per byte of its largest file when it writes whole-file
-# JSONL trees, and by about 145 when it mines methods. Just under this bound
-# a generated file of short methods peaks at 565 MiB when mined, and one of
-# a single long method at 445 MiB. So this bounds a run's peak RSS near
-# 650 MiB.
+# about 100 bytes per byte of its largest file when it writes whole-file
+# JSONL trees, and by about 130 when it mines methods. Just under this bound
+# a generated file of short methods peaks at 423 MiB as one JSONL tree and
+# 536 MiB when mined, and one of a single long method at up to 456 MiB and
+# 545 MiB. So this bounds a run's peak RSS near 550 MiB.
 MAX_FILE_BYTES = 4 * 2**20
 
 

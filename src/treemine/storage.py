@@ -8,9 +8,11 @@ the package compares a format name. Formatting is bit-exact: the same
 samples always produce the same bytes. A code2seq line is the label's
 subtokens, then each context's strings, which the miner made as the line
 writes them (see `paths.PathContext`): only the label is split here. A JSONL
-line is joined from one string per node, escaped by json's own string
-encoder, so it holds the bytes `json.dumps` gives without building a dict
-per node.
+line holds the bytes `json.dumps` gives without building a dict per node:
+each node's string is made once, escaped by json's own string encoder, and
+the strings are joined a bounded batch at a time into pieces of the line.
+So writing a whole file's tree holds the line and its pieces, not a string
+per node beside them.
 """
 
 import json
@@ -106,6 +108,23 @@ def format_code2seq(sample: LabeledTree, contexts: list[PathContext],
 
 # -- JSONL tree format --------------------------------------------------------
 
+# how many node strings the JSONL writer joins into one piece of its line,
+# which bounds how many of them are alive at once
+JSONL_BATCH = 256
+
+
+class _Fields(dict):
+    """One JSON field per distinct text: its key, then the text quoted."""
+
+    def __init__(self, key: str):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, text: str) -> str:
+        field = self[text] = self.key + _quote(text)
+        return field
+
+
 def format_jsonl_tree(sample: LabeledTree) -> str:
     """The JSON array of the tree's nodes in preorder, as one line.
 
@@ -113,33 +132,50 @@ def format_jsonl_tree(sample: LabeledTree) -> str:
     one dict per node: "type", then "value", "token_type" and "children"
     where present, and "label" on the root. The nodes are listed in preorder
     and then written from the end of that list, each node after its
-    children, right to left. A node's id is then the node count less one
-    less the number written before it, so its children's ids are known when
-    its one string is made. The strings are put in order once at the end.
+    children, right to left. A node's id is then the length of the list
+    once it is taken off, so its children's ids are known when its string
+    is made, and each distinct type, token and resolved type is quoted once.
+    The strings are joined JSONL_BATCH at a time into pieces of the line,
+    and the pieces once into the line. The first string written ends the
+    line and the root's begins it, so the joined line is not copied again.
     """
     order = list(sample.tree.preorder())
-    total = len(order)
+    types = _Fields('{"type":')
+    values = _Fields(',"value":')
+    token_types = _Fields(',"token_type":')
+    # the node strings not yet joined, and the pieces of the line, each
+    # list from the end of the line
+    batch: list[str] = []
     pieces: list[str] = []
     # the ids of the written nodes whose parent is not written yet: a
     # node's children are the last of them, its leftmost child last of all
     ids: list[int] = []
+    end = "}]\n"
     while order:
         node = order.pop()
-        piece = '{"type":' + _quote(node.node_type)
+        string = types[node.node_type]
         if node.token is not None:
-            piece += ',"value":' + _quote(node.token)
+            string += values[node.token]
         if node.resolved_type is not None:
-            piece += ',"token_type":' + _quote(node.resolved_type)
+            string += token_types[node.resolved_type]
         if node.children:
             n = len(node.children)
-            piece += (',"children":['
-                      + ",".join(map(str, reversed(ids[-n:]))) + "]")
+            string += (',"children":['
+                       + ",".join(map(str, reversed(ids[-n:]))) + "]")
             del ids[-n:]
-        ids.append(total - 1 - len(pieces))
-        pieces.append(piece)
-    pieces[-1] += ',"label":' + _quote(sample.label)
+        ids.append(len(order))
+        if not order:
+            string = "[" + string + ',"label":' + _quote(sample.label)
+        batch.append(string + end)
+        end = ""
+        if len(batch) == JSONL_BATCH or not order:
+            batch.reverse()
+            pieces.append("},".join(batch))
+            batch.clear()
+    # the quoted fields are not kept beside the joined line
+    del types, values, token_types
     pieces.reverse()
-    return "[" + "},".join(pieces) + "}]\n"
+    return "},".join(pieces)
 
 
 def format_sample(sample: LabeledTree, contexts: list[PathContext],

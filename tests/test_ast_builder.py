@@ -216,6 +216,17 @@ def test_operator_suffix_on_binary_and_unary():
     assert suffixed == ["BINARY_EXPR:*", "BINARY_EXPR:+", "UNARY_EXPR:-"]
 
 
+def test_equal_operator_suffixes_share_one_string():
+    tree = build("class A { int f(int a) { return -a + a * a + -a * a + a; }"
+                 " }")
+    plus = find_all(tree, "BINARY_EXPR:+")
+    times = find_all(tree, "BINARY_EXPR:*")
+    minus = find_all(tree, "UNARY_EXPR:-")
+    assert (len(plus), len(times), len(minus)) == (3, 2, 2)
+    for nodes in (plus, times, minus):
+        assert all(node.node_type is nodes[0].node_type for node in nodes)
+
+
 def test_assignment_keeps_plain_name():
     tree = build("class A { void f() { r = 1; } }")
     assert len(find_all(tree, "ASSIGNMENT_EXPR")) == 1

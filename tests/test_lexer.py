@@ -5,7 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treemine import CstKind, LexError
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES
+from treemine.ast_builder import build as build_from_markers
 from treemine.lexer import scan, tokenize
+from treemine.parser import parse
 
 from oracle_lexer import tokenize as oracle_tokenize
 
@@ -33,6 +36,24 @@ def test_round_trip_sample():
     source = ('class A { // note\n\tint x = 1 + 2; /* done */\n'
               '\tString s = "a\\"b";\n}\n')
     assert "".join(texts(tokenize(source))) == source
+
+
+def test_equal_token_texts_share_one_string():
+    source = "class A {\n" + "".join(
+        f"    int total{i % 3} = total{i % 3} + count;\n"
+        for i in range(9)) + "}\n"
+    tokens = scan(source)
+    assert "".join(tokens.texts) == source
+    assert tokens.texts.count("total1") == 6
+    assert tokens.texts.count("\n    ") == 9
+    assert len(set(map(id, tokens.texts))) == len(set(tokens.texts))
+    # the tree's leaves hold the same objects
+    shared = {id(text): text for text in tokens.texts}
+    tree = build_from_markers(tokens, parse(tokens),
+                              frozenset(DEFAULT_IGNORE_NAMES))
+    leaves = [leaf.token for leaf in tree.preorder() if not leaf.children]
+    assert len(leaves) == 1 + 9 * 4
+    assert all(shared.get(id(token)) is token for token in leaves)
 
 
 def test_keywords_vs_identifiers():

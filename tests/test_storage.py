@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemine import (LabeledTree, MinerLimits, PathContext, RunStatistics,
-                      StorageSpec, annotate_types, enumerate_paths,
-                      extract_method_name, mine, split)
+                      StorageSpec, annotate_types, count_nodes,
+                      enumerate_paths, extract_method_name, extract_none,
+                      mine, split)
 from treemine import paths
 from treemine.ast_builder import AstNode
-from treemine.storage import (finalize, format_code2seq, format_jsonl_tree,
-                              format_sample)
+from treemine.errors import SourceError
+from treemine.storage import (JSONL_BATCH, finalize, format_code2seq,
+                              format_jsonl_tree, format_sample)
 
-from conftest import CORPUS_DIR, GOLDEN_DIR, build, random_ast
+from conftest import CORPUS_DIR, FIXTURES, GOLDEN_DIR, build, random_ast
 from oracle_paths import oracle_enumerate, oracle_line, oracle_picks
 from oracle_storage import dumps_jsonl_tree
 
@@ -311,6 +313,60 @@ def test_jsonl_matches_json_dumps_on_non_ascii_source():
     annotate_types(tree)
     sample = LabeledTree("NO_LABEL", tree)
     assert format_jsonl_tree(sample) == dumps_jsonl_tree(sample)
+
+
+def wide_tree(n):
+    """A tree of n nodes: a root over nodes of one leaf each, and a last
+    leaf of its own where n is even."""
+    if n == 1:
+        return AstNode("IDENTIFIER", token="x")
+    children = [AstNode("UNARY_EXPR:-", children=[
+        AstNode("IDENTIFIER", token=f"v{i % 7}", resolved_type="int")])
+        for i in range((n - 1) // 2)]
+    if n % 2 == 0:
+        children.append(AstNode("LITERAL", token="1", resolved_type="int"))
+    return AstNode("FILE", children=children)
+
+
+def deep_tree(n):
+    """A chain of n nodes, each the one child of the one before."""
+    tree = AstNode("LITERAL", token="0")
+    for _ in range(n - 1):
+        tree = AstNode("PAREN_EXPR", children=[tree])
+    return tree
+
+
+B = JSONL_BATCH
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+@pytest.mark.parametrize("shape", [wide_tree, deep_tree])
+def test_jsonl_matches_json_dumps_at_batch_boundaries(shape, n):
+    sample = LabeledTree("lab\u00e9l", shape(n))
+    assert count_nodes(sample.tree) == n
+    line = format_jsonl_tree(sample)
+    assert line == dumps_jsonl_tree(sample)
+    assert len(json.loads(line)) == n
+
+
+# every file of the fixtures and golden inputs, each written as one tree
+SOURCE_FILES = sorted(FIXTURES.rglob("*.java")) + sorted(
+    (GOLDEN_DIR / "input").rglob("*.java"))
+
+
+def test_jsonl_matches_json_dumps_on_every_source_file():
+    written = 0
+    for path in SOURCE_FILES:
+        try:
+            tree = build(path.read_text(encoding="utf-8"))
+        except SourceError:
+            continue
+        annotate_types(tree)
+        [unit] = split(tree, "file")
+        sample = extract_none(unit)
+        assert format_jsonl_tree(sample) == dumps_jsonl_tree(sample), path
+        written += 1
+    assert written > 70
 
 
 def test_format_sample_dispatch():
