@@ -7,23 +7,28 @@ visible order-independently, parameters and locals only at and after their
 declaration, inner bindings shadow outer ones. One loop over an explicit stack
 walks in preorder, and does not enter the member units it is told to skip.
 
-A scope is a plain dict from name to type. The file, a class, a block, a `for`
-statement or a method or constructor copies the scope it is in when the walk
-enters it, and a parameter or local binds its name into the scope the walk is
-in when the walk reaches it. The file and a class bind all their members
-before any is walked: a class or field into the scope, a method into a fresh
-table of return types, and a constructor there typed by its own name, which
-the parser accepts only as its class's. The copy answers every lookup as a
-chain of scopes would: the walk finishes a node's subtree before its next
-sibling, so a scope gains no binding while a copy of it is in use. Each
-declaration types its own name leaf as it binds the name, through the AstNode
-accessors `name_leaf()` and `declared_type()`; the walk looks up the rest.
+One dict holds every binding the walk can see, for the whole walk. The
+file, a class, a block, a `for` statement, a method and a constructor each
+open a scope, which logs each name it binds with what the name was bound to
+before (NO_TYPE when it was unbound); once the walk has finished the scope's
+subtree, it puts those bindings back, latest first. A parameter or local
+binds its name in the innermost scope when the walk reaches it. The file and
+a class bind all their members before any is walked: a class or field under
+its name, and a method or constructor under its name and "(", which no
+identifier holds, so a call looks up return types apart from variables. A
+constructor is typed by its own name, which the parser accepts only as its
+class's. Entering or leaving a scope costs its own bindings, not the names
+visible in it, so typing time grows linearly with the tree's nodes. Each
+declaration types its own name leaf as it binds the name, through the
+AstNode accessors `name_leaf()` and `declared_type()`; the walk looks up the
+rest.
 
 Types are read from the tree after `ignore_node_kinds` has spliced it, so
 ignoring a kind the walk reads changes them: `TYPE_REF`, the declarations,
 `IDENTIFIER`, and the scope and call kinds. With `CLASS_DECL` ignored a class's
-members bind in the file and only the class name is unbound. A declaration
-spliced up to the class or file binds there, seen by the children after it.
+members bind in the file, where no class is left to see them, and only the
+class name is unbound. A declaration spliced up to the class or file binds
+there, seen by the children after it.
 """
 
 from .ast_builder import AstNode
@@ -45,10 +50,15 @@ def annotate_types(tree: AstNode,
     Their holder still binds them, so every other leaf gets the type that a
     walk of the whole tree gives it.
     """
-    # (node, scope, method return types of the file or class it is in)
-    stack = [(tree, {}, {})]
+    # (node, log of the innermost scope it is in); a (None, log) entry below
+    # a scope's children puts back what the scope bound once they are walked
+    scope = {}
+    stack = [(tree, [])]
     while stack:
-        node, scope, methods = stack.pop()
+        node, log = stack.pop()
+        if node is None:
+            scope.update(reversed(log))
+            continue
         node_type = node.node_type
         children = node.children
         if not children:
@@ -67,44 +77,45 @@ def annotate_types(tree: AstNode,
                         # trailing segment of a qualified chain
                         child.resolved_type = NO_TYPE
                     elif node_type == "METHOD_CALL":
-                        child.resolved_type = methods.get(child.token or "",
-                                                          NO_TYPE)
+                        child.resolved_type = scope.get(
+                            (child.token or "") + "(", NO_TYPE)
         elif node_type == "LOCAL_VAR_DECL" or node_type == "PARAMETER":
             # visible from the declaration itself onward
-            _declare(node, node.declared_type() or NO_TYPE, scope)
+            _declare(node, node.declared_type(), scope, log)
         elif node_type in ("CODE_BLOCK", "FOR_STMT", "METHOD_DECL",
-                           "CONSTRUCTOR_DECL"):
+                           "CONSTRUCTOR_DECL", "CLASS_DECL", "FILE"):
             # a FOR_STMT's loop variable is scoped to the whole statement
-            scope = scope.copy()
-        elif node_type == "CLASS_DECL" or node_type == "FILE":
+            log = []
+            stack.append((None, log))
+        if node_type == "CLASS_DECL" or node_type == "FILE":
             # a class is only ever a child of the file; the members of either
             # are bound before any is walked
-            scope = scope.copy()
-            methods = {}
             for member in children:
                 member_type = member.node_type
                 if member_type == "FIELD_DECL":
-                    _declare(member, member.declared_type() or NO_TYPE, scope)
+                    _declare(member, member.declared_type(), scope, log)
                 elif member_type == "METHOD_DECL":
-                    _declare(member, member.declared_type() or NO_TYPE, methods)
+                    _declare(member, member.declared_type(), scope, log, "(")
                 elif member_type == "CONSTRUCTOR_DECL":
-                    _declare(member, member.name() or NO_TYPE, methods)
+                    _declare(member, member.name(), scope, log, "(")
                 elif member_type == "CLASS_DECL":
-                    _declare(member, member.name() or NO_TYPE, scope)
-            if skip:
-                children = [child for child in children
-                            if id(child) not in skip]
-        stack.extend([(child, scope, methods) for child in reversed(children)])
+                    _declare(member, member.name(), scope, log)
+            children = [child for child in children if id(child) not in skip]
+        stack.extend([(child, log) for child in reversed(children)])
     return tree
 
 
-def _declare(node: AstNode, declared: str, bindings: dict[str, str]) -> None:
-    """Give a declaration's name leaf its type, and bind its name to it."""
+def _declare(node: AstNode, declared, scope, log, suffix="") -> None:
+    """Give a declaration's name leaf its type, or NO_TYPE, and bind its name
+    plus `suffix` to that type, logging what the key was bound to before."""
+    declared = declared or NO_TYPE
     name_leaf = node.name_leaf()
     if name_leaf is not None:
         name_leaf.resolved_type = declared
         if name_leaf.token:
-            bindings[name_leaf.token] = declared
+            key = name_leaf.token + suffix
+            log.append((key, scope.get(key, NO_TYPE)))
+            scope[key] = declared
 
 
 def _literal_type(text: str) -> str:

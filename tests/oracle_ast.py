@@ -5,12 +5,12 @@ CST node, bottom up) and of `annotate_types` (one `_annotate` call per AST
 node). The production code walks the same trees with explicit stacks, so
 agreement on the same inputs checks the order of those walks. The reference
 keeps scopes as a chain, each asking its parent for a name it does not bind,
-where `annotate_types` copies a plain dict into each inner scope: agreement
-also checks that the copies answer as the chain does. The file and a class
-are one kind of holder: each binds its classes, fields, methods and
-constructors before any is walked, a constructor typed by its own name, so with
-`CLASS_DECL` ignored a class's members bind in the file and only its name is
-unbound. A parameter, like a local, binds its name in the scope it is walked
+where `annotate_types` binds in one dict and puts back on leaving a scope
+what the scope bound: agreement also checks that the one dict answers as the
+chain does. The file and a class are one kind of holder: each binds its
+classes, fields, methods and constructors before any is walked, a
+constructor typed by its own name, so with `CLASS_DECL` ignored a class's
+members bind in the file and only its name is unbound. A parameter, like a local, binds its name in the scope it is walked
 in, from its declaration on, and the file's children share one scope: a
 declaration an ignore list splices up to the class or file is seen by the
 children after it, and an ignored `PARAMETER_LIST` changes no parameter's type.

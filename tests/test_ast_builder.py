@@ -54,6 +54,31 @@ SOURCES["Hoisted.java"] = """class Hoisted {
     void after(double p) { use(x); use(p); }
 }
 """
+# scopes that end while the names they bound are still in use: a sibling
+# class's members, a block's locals (one of them bound twice) and a loop
+# variable; a field, a method and a local named alike; a constructor call
+SOURCES["Siblings.java"] = """class One {
+    int size;
+    long only;
+    String size() { return "one"; }
+    int pick(int v) { return size + v + only; }
+}
+class Two {
+    double size;
+    boolean size() { return size(); }
+    Two(long n) { size = n; }
+    int use(String s) {
+        { String size = s; int size = 2; size = size + s; }
+        double after = size + size() + only;
+        for (int k = 0; k < 3; k = k + 1) { after = after + k; }
+        after = k + pick(k);
+        int twice = 1;
+        char twice = twice;
+        Two made = Two(twice);
+        return new Two(twice + made);
+    }
+}
+"""
 COMMENTS = ("LINE_COMMENT", "BLOCK_COMMENT")
 IGNORE_LISTS = {
     "default": DEFAULT_IGNORE_NAMES,

@@ -1,7 +1,10 @@
+import gc
+import time
+
 import pytest
 
 from treemine import NO_TYPE, annotate_types
-from treemine.ast_builder import DEFAULT_IGNORE_NAMES
+from treemine.ast_builder import DEFAULT_IGNORE_NAMES, AstNode
 
 from conftest import CORPUS_DIR, build, find_all, find_one
 
@@ -308,3 +311,57 @@ def test_skipped_units_of_a_deep_tree_are_not_entered():
     # the parameter and every use of it in the skipped method
     assert [leaf.resolved_type for leaf in a.leaves()
             if leaf.token == "x"] == [None] * 3001
+
+
+def _renamed(node, names):
+    """A new tree of `node`'s shape, each token in `names` replaced."""
+    if not node.children:
+        return AstNode(node.node_type, names.get(node.token, node.token))
+    return AstNode(node.node_type,
+                   children=[_renamed(child, names) for child in node.children])
+
+
+def _typing_time_ratio(source, holder_type, names, per_name):
+    """Seconds to type `source` with the subtrees of its first `holder_type`
+    node made once for each of `names`, renamed by `per_name(k, name)`, over
+    the seconds to type the same tree with every one of `names` the first.
+
+    Both trees have the same nodes, so a walk in linear time types them in
+    about the same time (a ratio of 0.7 to 1.7 on CPython 3.10 to 3.13),
+    while a walk that copies each scope pays at each scope for every name
+    it can see (6 to 30 at these sizes). Copying the subtrees of one parsed
+    holder is far faster than parsing the whole source."""
+    seconds = []
+    gc.disable()  # collecting trees this large costs more than making them
+    try:
+        for spread in (names, names[:1] * len(names)):
+            tree = build(source)
+            holder = next(node for node in tree.preorder()
+                          if node.node_type == holder_type)
+            holder.children = (
+                [child for child in holder.children if not child.children]
+                + [_renamed(child, per_name(k, name))
+                   for child in holder.children if child.children
+                   for k, name in enumerate(spread)])
+            start = time.process_time()
+            annotate_types(tree)
+            seconds.append(time.process_time() - start)
+    finally:
+        gc.enable()
+    return seconds[0] / seconds[1]
+
+
+def test_many_members_are_typed_in_linear_time():
+    # a class of 8,000 fields and 8,000 methods, each returning its own field
+    names = [f"f{k}" for k in range(8_000)]
+    assert _typing_time_ratio("class C { int f; int m() { return f; } }",
+                              "CLASS_DECL", names,
+                              lambda k, name: {"f": name, "m": f"m{k}"}) < 3
+
+
+def test_many_locals_are_typed_in_linear_time():
+    # one method of 15,000 lines, each declaring a local and opening a block
+    names = [f"y{k}" for k in range(15_000)]
+    assert _typing_time_ratio(
+        "class C { int f(int x) { int y = x + 0; if (y > 3) { y = y * 2; } } }",
+        "CODE_BLOCK", names, lambda k, name: {"y": name, "0": str(k)}) < 3
