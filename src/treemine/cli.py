@@ -1,13 +1,13 @@
 """Command-line entry point."""
 
 import argparse
-import logging
+import os
 import sys
 from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError
-from .pipeline import discover_projects, discover_splits, run
+from .pipeline import discover_projects, discover_splits, run, to_stderr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,9 +28,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the configured parallelism, which "
                              "is validated but starts no worker")
     args = parser.parse_args(argv)
-
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(message)s")
     try:
         config = load_config(args.config, parallelism=args.parallelism)
         if args.dry_run:
@@ -39,10 +36,10 @@ def main(argv: list[str] | None = None) -> int:
         run(config)
         return EXIT_OK
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        to_stderr(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        to_stderr(f"i/o error: {exc}\n")
         return EXIT_IO
 
 
@@ -63,10 +60,25 @@ def _print_plan(config) -> None:
             # UTF-8 stdout refuses: they are printed as backslash escapes
             label = label.encode("utf-8", "backslashreplace").decode("utf-8")
             print(f"  project {label}: {len(files)} file(s)")
+    # a stdout that cannot take the plan fails the dry run here, not at exit
+    print(end="", flush=True)
 
 
 def console_entry() -> None:
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    finally:
+        # The interpreter flushes stdout and stderr as it exits, and a flush
+        # that fails there makes the exit code 120. A broken stream keeps in
+        # its buffer what it could not take, which main has reported or
+        # dropped already: that goes to the null device instead.
+        for stream in (sys.stdout, sys.stderr):
+            if stream is None:  # its descriptor was closed at start
+                continue
+            try:
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":

@@ -15,10 +15,12 @@ the line and column of its first bad byte. Outputs are written under staging
 names and moved into place together once the run has finished, so a run
 that fails or is interrupted leaves the previous dataset as it was; the
 staging files of a run that was killed outright are removed by the next run
-of the same dataset name and format.
+of the same dataset name and format. A file that fails is reported on
+stderr, as a `WARNING` line, or as an `ERROR` line and its traceback when a
+stage fails in a way it does not expect; a stderr that cannot be written
+loses these lines but never stops the run.
 """
 
-import logging
 import sys
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -35,8 +37,6 @@ from .paths import mine
 from .storage import (CONTEXT_FORMATS, STATS_FILE, TYPED_FORMATS,
                       RunStatistics, finalize, format_sample, staging_path)
 from .type_resolver import annotate_types
-
-logger = logging.getLogger("treemine")
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -104,12 +104,15 @@ def process_file(path: Path, relpath: str, config: PipelineConfig) -> FileResult
     """Run parse through serialization for one file. Pure; no shared state.
 
     Never raises for a bad file: an exception the stages do not expect
-    comes back as a failed result with stage `internal`.
+    comes back as a failed result with stage `internal`, and its traceback
+    goes to stderr under an `ERROR` line.
     """
     try:
         return _process(path, relpath, config)
     except Exception as exc:  # no single file may end the run
-        logger.error("internal error in %s", relpath, exc_info=True)
+        import traceback  # only a run that meets a bug pays for it
+        to_stderr(f"ERROR internal error in {relpath}\n"
+                  + traceback.format_exc())
         return FileResult(
             relpath, f"internal: {type(exc).__name__}: {exc}", [])
 
@@ -198,7 +201,7 @@ def run(config: PipelineConfig, summary_sink: TextIO | None = None) -> RunStatis
                         relpath = path.relative_to(split_root).as_posix()
                         _consume(process_file(path, relpath, config), stats,
                                  sink)
-        finalize(stats, summary_sink or sys.stdout, config.output_dir, staged)
+        finalize(stats, summary_sink, config.output_dir, staged)
     finally:
         # only a run that stopped before finalize moved them leaves any
         for path in own_staging:
@@ -210,7 +213,7 @@ def _consume(result: FileResult, stats: RunStatistics, sink: TextIO) -> None:
     stats.files_seen += 1
     if result.error is not None:
         stats.parse_failures += 1
-        logger.warning("skipping %s: %s", result.relpath, result.error)
+        to_stderr(f"WARNING skipping {result.relpath}: {result.error}\n")
         return
     stats.files_parsed += 1
     for unit in result.units:
@@ -221,3 +224,18 @@ def _consume(result: FileResult, stats: RunStatistics, sink: TextIO) -> None:
         stats.trees_after_filters += 1
         sink.write(unit.line)
         stats.record_sample(unit.n_contexts)
+
+
+def to_stderr(text: str) -> None:
+    """Write `text` to stderr at once, with a file name's undecodable bytes
+    (surrogate escapes) as backslash escapes, which a strict stderr would
+    refuse. A stderr that is missing (None), closed or broken loses the
+    text: a run goes on without its report."""
+    stream = sys.stderr
+    if stream is None:  # the process started with fd 2 closed
+        return
+    try:
+        stream.write(text.encode("utf-8", "backslashreplace").decode("utf-8"))
+        stream.flush()
+    except (OSError, ValueError):  # broken, closed, or cannot encode it
+        pass

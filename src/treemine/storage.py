@@ -195,13 +195,16 @@ def staging_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.partial")
 
 
-def finalize(stats: RunStatistics, sink: TextIO, output_dir: Path,
+def finalize(stats: RunStatistics, sink: TextIO | None, output_dir: Path,
              staged: Sequence[Path]) -> None:
-    """Commit a finished run: move its files into place, then summarize.
+    """Commit a finished run: summarize it, then move its files into place.
 
-    Writes stats.json at its staging path, then replaces stats.json and each
-    of `staged`, whose bytes sit at their staging paths, one after another
-    with no work in between. The human-readable summary goes to sink last.
+    Writes stats.json at its staging path and the human-readable summary to
+    sink, flushed, so a sink that cannot take it fails the run before it
+    commits. A sink of None stands for sys.stdout, and a None sys.stdout (fd
+    1 was closed) drops the summary, as print does. Then replaces stats.json
+    and each of `staged`, whose bytes sit at their staging paths, one after
+    another with no work in between.
     """
     data = stats.to_dict()
     stats_path = output_dir / STATS_FILE
@@ -209,8 +212,6 @@ def finalize(stats: RunStatistics, sink: TextIO, output_dir: Path,
               newline="") as handle:
         json.dump(data, handle, indent=2)
         handle.write("\n")
-    for path in (*staged, stats_path):
-        os.replace(staging_path(path), path)
     lines = [
         "run statistics:",
         f"  files seen:           {data['files_seen']}",
@@ -224,4 +225,6 @@ def finalize(stats: RunStatistics, sink: TextIO, output_dir: Path,
     ]
     for name, count in data["filter_rejections"].items():
         lines.append(f"  rejected by {name}: {count}")
-    sink.write("\n".join(lines) + "\n")
+    print("\n".join(lines), file=sink, flush=True)
+    for path in (*staged, stats_path):
+        os.replace(staging_path(path), path)

@@ -1,6 +1,6 @@
 import json
-import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -253,22 +253,40 @@ def test_non_ascii_digit_file_is_a_parse_failure(tmp_path, capsys):
 
 
 def test_file_over_the_size_bound_is_a_counted_failure(tmp_path, monkeypatch,
-                                                       caplog):
+                                                       capsys):
     in_dir = tmp_path / "in"
     write_files(in_dir, {"A.java": SOURCE, "Big.java": SOURCE + "\n"})
     # the bound counts bytes on disk: A.java is at it, Big.java one over
     monkeypatch.setattr(pipeline, "MAX_FILE_BYTES",
                         (in_dir / "A.java").stat().st_size)
     path = write_config(tmp_path, base_config(in_dir, tmp_path / "out"))
-    with caplog.at_level(logging.WARNING, logger="treemine"):
-        assert main(["--config", str(path)]) == EXIT_OK
+    assert main(["--config", str(path)]) == EXIT_OK
     stats = json.loads((tmp_path / "out" / "stats.json").read_text(
         encoding="utf-8"))
     assert (stats["files_seen"], stats["files_parsed"],
             stats["parse_failures"], stats["samples_written"]) == (2, 1, 1, 1)
-    assert [m for m in caplog.messages if m.startswith("skipping")] == [
-        f"skipping Big.java: too large: {len(SOURCE) + 1} bytes, over the "
-        f"{len(SOURCE)}-byte bound"]
+    assert capsys.readouterr().err == (
+        f"WARNING skipping Big.java: too large: {len(SOURCE) + 1} bytes, "
+        f"over the {len(SOURCE)}-byte bound\n")
+
+
+def test_a_strict_stderr_gets_an_undecodable_name_escaped(tmp_path, capsys):
+    # capsys's stderr is strict UTF-8, which refuses the surrogate escape
+    # U+DCFF of the name's byte 0xff: the line escapes it with a backslash,
+    # as Python's own stderr does
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    try:
+        with open(os.path.join(os.fsencode(in_dir), b"\xffname.java"), "w",
+                  encoding="utf-8") as handle:
+            handle.write("class N {\n    int\n}\n")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    path = write_config(tmp_path, base_config(in_dir, tmp_path / "out"))
+    assert main(["--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "WARNING skipping \\udcffname.java: line 3, column 1: "
+        "expected identifier, found '}'\n")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -353,3 +371,183 @@ def test_output_matches_direct_library_use(tmp_path):
         encoding="utf-8"))
     assert stats["samples_written"] == 1
     assert config.parallelism == 1
+
+
+# -- stderr, and std streams that are closed or cannot be written ---------------
+
+# the CLI in a fresh process, whose miner fails on a method named `boom` as a
+# stage with a bug would
+_CLI = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from treemine import pipeline
+from treemine.cli import console_entry
+real_mine = pipeline.mine
+
+
+def mine(tree, limits, label):
+    if label == "boom":
+        raise RuntimeError("injected")
+    return real_mine(tree, limits, label)
+
+
+pipeline.mine = mine
+sys.argv[:2] = ["treemine"]
+console_entry()
+"""
+
+
+def cli(config_path, *args, redirect="", buffered=False, **kwargs):
+    """Run `_CLI` on `config_path` through the shell, its std streams
+    redirected by `redirect` (`2>&-` closes stderr), with stdout and stderr
+    buffered as Python buffers them by default, or not at all."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        ["sh", "-c", f'"$0" "$@" {redirect}', sys.executable, "-c", _CLI,
+         str(SRC), "--config", str(config_path), *args],
+        env=env, **kwargs)
+
+
+def failing_corpus(tmp_path):
+    """A config over one good file and one that fails in each way, and
+    whether the file system took the last one, whose name is not UTF-8."""
+    in_dir = tmp_path / "in"
+    write_files(in_dir, {
+        "Boom.java": SOURCE.replace("get", "boom"),
+        "Broken.java": "class Broken {\n    int\n}\n",
+        "Lex.java": "class L { int x = 1 # 2; }\n",
+        "Ok.java": SOURCE,
+    })
+    (in_dir / "Utf8.java").write_bytes(b"class U {\n    int x\xff;\n}\n")
+    with open(in_dir / "Over.java", "wb") as handle:
+        handle.truncate(pipeline.MAX_FILE_BYTES + 1)
+    config_path = write_config(tmp_path, base_config(in_dir, tmp_path / "out"))
+    try:
+        with open(os.path.join(os.fsencode(in_dir), b"\xffname.java"),
+                  "w", encoding="utf-8") as handle:
+            handle.write("class N {\n    int\n}\n")
+    except (OSError, UnicodeError):
+        return config_path, False
+    return config_path, True
+
+
+def test_stderr_holds_one_report_per_failed_file(tmp_path):
+    config_path, odd_name = failing_corpus(tmp_path)
+    done = cli(config_path, capture_output=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    err = done.stderr.decode("utf-8")
+    head, raised, tail = err.partition("RuntimeError: injected\n")
+    # a stage that fails in a way it does not expect: its traceback, framed
+    # as logging's `exc_info` framed it
+    first, *frames = head.splitlines(keepends=True)
+    assert first == "ERROR internal error in Boom.java\n"
+    assert frames[0] == "Traceback (most recent call last):\n"
+    assert len(frames) > 3
+    assert all(line.startswith("  ") for line in frames[1:])
+    assert raised
+    expected = (
+        "WARNING skipping Boom.java: internal: RuntimeError: injected\n"
+        "WARNING skipping Broken.java: line 3, column 1: "
+        "expected identifier, found '}'\n"
+        "WARNING skipping Lex.java: line 1, column 21: "
+        "unexpected character '#'\n"
+        "WARNING skipping Over.java: too large: 4194305 bytes, over the "
+        "4194304-byte bound\n"
+        "WARNING skipping Utf8.java: line 2, column 10: "
+        "not valid UTF-8: invalid start byte\n")
+    if odd_name:
+        # stderr escapes the name's surrogate U+DCFF with a backslash
+        expected += ("WARNING skipping \\udcffname.java: line 3, column 1: "
+                     "expected identifier, found '}'\n")
+    assert tail == expected
+    assert done.stdout.decode("utf-8").startswith("run statistics:\n")
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"],
+                         ids=["closed", "read_only"])
+def test_an_unwritable_stderr_loses_only_the_report(tmp_path, redirect,
+                                                    buffered):
+    config_path, _ = failing_corpus(tmp_path)
+    done = cli(config_path, capture_output=True)
+    assert done.returncode == EXIT_OK
+    written = files_in(tmp_path / "out")
+    shutil.rmtree(tmp_path / "out")
+    quiet = cli(config_path, redirect=redirect, buffered=buffered,
+                stdout=subprocess.PIPE)
+    assert quiet.returncode == EXIT_OK
+    assert quiet.stdout == done.stdout
+    assert files_in(tmp_path / "out") == written
+
+
+def files_in(directory):
+    """Each file's name, hidden ones too, and bytes."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("redirect", [">&-", "2>&-", "2</dev/null"],
+                         ids=["stdout_closed", "stderr_closed",
+                              "stderr_read_only"])
+@pytest.mark.parametrize("case, code", [
+    ("run", EXIT_OK), ("dry_run", EXIT_OK), ("config_error", EXIT_CONFIG),
+    ("io_error", EXIT_IO)])
+def test_an_unwritable_std_stream_keeps_the_exit_codes(tmp_path, redirect,
+                                                       case, code):
+    config_path = setup_run(tmp_path)
+    args = ()
+    if case == "dry_run":
+        args = ("--dry-run",)
+    elif case == "config_error":
+        config_path.write_bytes(b'{"input_dir": "\xff"}\n')
+    elif case == "io_error":
+        # output_dir lies under a plain file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory", encoding="utf-8")
+        config_path = write_config(tmp_path, base_config(tmp_path / "in",
+                                                         blocker / "out"))
+    done = cli(config_path, *args, redirect=redirect, buffered=True,
+               capture_output=True)
+    assert done.returncode == code, done.stderr
+    assert b"Traceback" not in done.stdout + done.stderr
+    assert (tmp_path / "out" / "dataset.data.c2s").is_file() == (
+        case == "run")
+
+
+def cli_on_a_broken_pipe(config_path, *args, buffered):
+    """Run `cli` with stdout on a pipe whose reader is gone."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        return cli(config_path, *args, buffered=buffered, stdout=writer,
+                   stderr=subprocess.PIPE)
+    finally:
+        os.close(writer)
+
+
+BROKEN_PIPE = b"i/o error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+def test_a_summary_that_cannot_be_written_commits_nothing(tmp_path,
+                                                          buffered):
+    config_path = setup_run(tmp_path)
+    assert cli(config_path, stdout=subprocess.DEVNULL).returncode == EXIT_OK
+    before = files_in(tmp_path / "out")
+    write_files(tmp_path / "in", {"B.java": SOURCE.replace("get", "put")})
+    done = cli_on_a_broken_pipe(config_path, buffered=buffered)
+    assert (done.returncode, done.stderr) == (EXIT_IO, BROKEN_PIPE)
+    assert files_in(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+def test_a_plan_that_cannot_be_written_fails_the_dry_run(tmp_path,
+                                                         buffered):
+    done = cli_on_a_broken_pipe(setup_run(tmp_path), "--dry-run",
+                                buffered=buffered)
+    assert (done.returncode, done.stderr) == (EXIT_IO, BROKEN_PIPE)

@@ -1,5 +1,5 @@
 """What a run holds: a bounded front end and writer per source byte, a
-bounded miner per leaf, and no OpenSSL.
+bounded miner per leaf, and neither OpenSSL nor `logging`.
 
 The front end's peak and the tree it leaves are bounded per byte of a
 generated source file, under `tracemalloc`: tokens carry no lines, equal
@@ -16,12 +16,17 @@ The one SHA-256 a run needs, the seed of each drawn sample, comes from
 CPython's own C module (`_sha2`, or `_sha256` before 3.12). So no module of
 the package imports `hashlib` but as the fallback for an interpreter without
 that module, and no run loads `_hashlib`, whether it draws samples, writes
-trees or is a dry run. Each run happens in a fresh `python -S` process, so
-no test or plugin can have loaded it first.
+trees or is a dry run. Nor does a run import `logging`, whose import
+brings `traceback`, `string` and `textwrap` too: a run writes its stderr
+lines itself, and imports `traceback` only for a stage that fails in a way
+it does not expect. Each run happens in a fresh `python -S` process, so no
+test or plugin can have loaded a module first.
 """
 
 import ast
 import gc
+import json
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -44,18 +49,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted((SRC / "treemine").glob("*.py"))
 
 _RUN = """
-import sys
+import json, sys
 sys.path.insert(0, sys.argv[1])
 from treemine.cli import main
 code = main(sys.argv[2:])
-print(code, "_hashlib" in sys.modules)
+print(code, json.dumps(sorted(sys.modules)))
 """
 
 
-def loads_openssl(tmp_path, storage_format, max_contexts, *extra):
-    """Whether a CLI run of the golden configuration imported `_hashlib`."""
+def loaded_modules(tmp_path, storage_format, max_contexts, *extra,
+                   input_dir=GOLDEN_DIR / "input"):
+    """The modules that a CLI run of the golden configuration, over
+    `input_dir`, had loaded when it returned."""
     config = write_config(tmp_path, {
-        "input_dir": str(GOLDEN_DIR / "input"),
+        "input_dir": str(input_dir),
         "output_dir": str(tmp_path / "out"),
         "dataset_name": "golden",
         "granularity": "method",
@@ -66,26 +73,47 @@ def loads_openssl(tmp_path, storage_format, max_contexts, *extra):
     done = subprocess.run(
         [sys.executable, "-S", "-c", _RUN, str(SRC), "--config", str(config),
          *extra], capture_output=True, text=True, check=True)
-    code, loaded = done.stdout.splitlines()[-1].split()
+    code, loaded = done.stdout.splitlines()[-1].split(" ", 1)
     assert code == "0", done.stderr
-    return loaded == "True"
+    return set(json.loads(loaded))
 
 
 def test_jsonl_trees_run_does_not_load_openssl(tmp_path):
-    assert not loads_openssl(tmp_path, "jsonl_trees", 40)
+    assert "_hashlib" not in loaded_modules(tmp_path, "jsonl_trees", 40)
     assert (tmp_path / "out" / "golden.train.jsonl").is_file()
 
 
 def test_dry_run_does_not_load_openssl(tmp_path):
-    assert not loads_openssl(tmp_path, "code2seq", 1, "--dry-run")
+    assert "_hashlib" not in loaded_modules(tmp_path, "code2seq", 1,
+                                            "--dry-run")
     assert not (tmp_path / "out").exists()
+
+
+REPORT_MODULES = {"logging", "traceback"}
+
+
+def test_a_run_that_skips_a_file_does_not_load_logging(tmp_path):
+    input_dir = tmp_path / "in"
+    shutil.copytree(GOLDEN_DIR / "input", input_dir)
+    (input_dir / "train" / "Broken.java").write_text(
+        "class Broken {\n    int\n}\n", encoding="utf-8")
+    assert not REPORT_MODULES & loaded_modules(tmp_path, "code2seq", 40,
+                                               input_dir=input_dir)
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text(
+        encoding="utf-8"))
+    assert stats["parse_failures"] == 1
+
+
+def test_dry_run_does_not_load_logging(tmp_path):
+    assert not REPORT_MODULES & loaded_modules(tmp_path, "code2seq", 40,
+                                               "--dry-run")
 
 
 def test_a_run_that_draws_does_not_load_openssl(tmp_path):
     for storage_format in ("code2seq", "code2seq_typed"):
         run_dir = tmp_path / storage_format
         run_dir.mkdir()
-        assert not loads_openssl(run_dir, storage_format, 1)
+        assert "_hashlib" not in loaded_modules(run_dir, storage_format, 1)
         # every golden unit holds at least three contexts, so one context
         # per line means that a sample was drawn from every bag
         for split in ("train", "val", "test"):

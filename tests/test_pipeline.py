@@ -1,8 +1,8 @@
 import importlib.util
 import io
 import json
-import logging
 import os
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -335,10 +335,25 @@ def test_run_empty_input_writes_empty_dataset(tmp_path):
         encoding="utf-8") == ""
 
 
-def test_run_logs_skipped_files(tmp_path, caplog):
-    with caplog.at_level(logging.WARNING, logger="treemine"):
-        run_config(tmp_path)
-    assert any("bad.java" in message for message in caplog.messages)
+def test_run_logs_skipped_files(tmp_path, capsys):
+    run_config(tmp_path)
+    assert capsys.readouterr().err == (
+        "WARNING skipping p_beta/bad.java: line 3, column 1: "
+        "expected identifier, found '}'\n")
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["none", "closed"])
+def test_run_goes_on_without_a_stderr(tmp_path, monkeypatch, closed):
+    # a process started with fd 2 closed has sys.stderr None; a caller may
+    # have closed the stream
+    stderr = None
+    if closed:
+        stderr = io.StringIO()
+        stderr.close()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    stats, out_dir = run_config(tmp_path)
+    assert (stats.files_seen, stats.parse_failures) == (5, 1)
+    assert (out_dir / "dataset.data.c2s").is_file()
 
 
 def test_parallel_output_identical(tmp_path):
@@ -398,7 +413,7 @@ FORMATS = ("code2seq", "code2seq_typed", "jsonl_trees")
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
-def test_run_counts_a_file_whose_stage_raises(tmp_path, monkeypatch, caplog,
+def test_run_counts_a_file_whose_stage_raises(tmp_path, monkeypatch, capsys,
                                               parallelism):
     real_mine = pipeline.mine
 
@@ -408,12 +423,17 @@ def test_run_counts_a_file_whose_stage_raises(tmp_path, monkeypatch, caplog,
         return real_mine(tree, limits, label)
 
     monkeypatch.setattr(pipeline, "mine", mine)
-    with caplog.at_level(logging.WARNING, logger="treemine"):
-        stats, _ = run_config(tmp_path, parallelism=parallelism)
+    stats, _ = run_config(tmp_path, parallelism=parallelism)
     assert stats.files_parsed + stats.parse_failures == stats.files_seen
     assert (stats.files_seen, stats.parse_failures) == (5, 2)
-    assert any("A.java: internal: RuntimeError: boom" in message
-               for message in caplog.messages)
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR internal error in p_alpha/A.java\n"
+                          "Traceback (most recent call last):\n")
+    assert err.endswith(
+        "RuntimeError: boom\n"
+        "WARNING skipping p_alpha/A.java: internal: RuntimeError: boom\n"
+        "WARNING skipping p_beta/bad.java: line 3, column 1: "
+        "expected identifier, found '}'\n")
 
 
 def _reference_files(directory):
@@ -577,16 +597,16 @@ def test_no_corpus_breaks_a_run(files, shape, parallelism):
         assert not list((tmp / "out").glob("*.partial"))
 
 
-def test_an_unreadable_file_is_an_input_failure(tmp_path, caplog):
+def test_an_unreadable_file_is_an_input_failure(tmp_path, capsys):
     path = tmp_path / _LOCKED
     path.write_bytes(b"class L { }")
     config = validate_config(base_config(tmp_path, tmp_path / "out"))
-    with mock.patch.object(Path, "read_text", _read_text_unless_locked), \
-            caplog.at_level(logging.DEBUG, logger="treemine"):
+    with mock.patch.object(Path, "read_text", _read_text_unless_locked):
         result = process_file(path, _LOCKED, config)
     assert result.error.startswith("cannot read: ")
     assert "Permission denied" in result.error
-    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    # an input failure is no internal error: it comes back without a report
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("overrides", [
